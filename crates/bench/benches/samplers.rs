@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qac_pbf::Ising;
-use qac_solvers::{Sampler, SimulatedAnnealing, Sqa, TabuSearch};
+use qac_solvers::{BitParallelSa, PopulationAnnealing, Sampler, TabuSearch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,17 +22,17 @@ fn fixture(n: usize) -> Ising {
 
 fn bench_samplers(c: &mut Criterion) {
     let model = fixture(96);
-    c.bench_function("sa_96vars_50reads", |b| {
-        let sampler = SimulatedAnnealing::new(1).with_sweeps(128);
-        b.iter(|| std::hint::black_box(sampler.sample(&model, 50)))
+    c.bench_function("bp_96vars_64reads", |b| {
+        let sampler = BitParallelSa::new(1).with_sweeps(128);
+        b.iter(|| std::hint::black_box(sampler.sample(&model, 64)))
+    });
+    c.bench_function("pa_96vars_64reads", |b| {
+        let sampler = PopulationAnnealing::new(1).with_sweeps(128);
+        b.iter(|| std::hint::black_box(sampler.sample(&model, 64)))
     });
     c.bench_function("tabu_96vars_10reads", |b| {
         let sampler = TabuSearch::new(1);
         b.iter(|| std::hint::black_box(sampler.sample(&model, 10)))
-    });
-    c.bench_function("sqa_96vars_5reads", |b| {
-        let sampler = Sqa::new(1).with_sweeps(64).with_slices(8);
-        b.iter(|| std::hint::black_box(sampler.sample(&model, 5)))
     });
 }
 

@@ -94,29 +94,8 @@ pub fn sec6_batch_jobs() -> Vec<JobSpec> {
             .num_reads(200),
         "australia:valid",
     ));
-    // The packed-lane samplers as engine jobs: same backward circsat /
-    // map-coloring workloads, exercising SolverChoice::BitParallel,
-    // ::ParallelTempering, and ::PopulationAnnealing through the
-    // engine's determinism contract.
-    jobs.push(JobSpec::new(
-        Arc::clone(&circsat),
-        RunOptions::new()
-            .pin("y := true")
-            .solver(SolverChoice::BitParallel { sweeps: 256 })
-            .num_reads(192),
-        "circsat:y=1:bp",
-    ));
-    jobs.push(JobSpec::new(
-        Arc::clone(&australia),
-        RunOptions::new()
-            .pin("valid := true")
-            .solver(SolverChoice::ParallelTempering {
-                sweeps: 256,
-                rungs: 8,
-            })
-            .num_reads(24),
-        "australia:valid:pt",
-    ));
+    // Population annealing as an engine job: the same backward
+    // map-coloring workload, through the engine's determinism contract.
     jobs.push(JobSpec::new(
         Arc::clone(&australia),
         RunOptions::new()

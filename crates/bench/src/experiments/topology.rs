@@ -50,17 +50,8 @@ fn embed_on(
 
     // Per-topology routing-work counters, same names and labels the
     // simulator emits, so one metrics export covers both paths.
-    let telemetry = qac_telemetry::global();
     let family = topology.family();
-    for (name, value) in [
-        ("qac_route_iterations_total", stats.route_iterations as u64),
-        ("qac_embed_restarts_total", stats.restarts as u64),
-        ("qac_embed_heap_pops_total", stats.heap_pops),
-        ("qac_embed_edge_relaxations_total", stats.edge_relaxations),
-        ("qac_embed_weight_updates_total", stats.weight_updates),
-    ] {
-        telemetry.counter_add(&format!("{name}{{topology=\"{family}\"}}"), value);
-    }
+    stats.record_topology_counters(family);
 
     let chains = embedding.chains();
     let chained: Vec<&Vec<usize>> = chains.iter().filter(|c| !c.is_empty()).collect();

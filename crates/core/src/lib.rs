@@ -54,7 +54,6 @@ mod pipeline;
 mod qmasm_gen;
 mod run;
 mod stage;
-mod trace;
 
 pub use certify::{
     backend_obligation, certificate_diagnostics, model_terms,
@@ -72,9 +71,9 @@ pub use run::{
     SolverChoice,
 };
 pub use stage::{Session, Stage};
-pub use trace::{StageTrace, Trace};
 
 pub use qac_netlist::unroll::InitialState;
+pub use qac_telemetry::{StageTrace, Trace};
 
 pub use qac_analysis::{AnalysisOptions, AnalysisReport, Code, Diagnostic, Diagnostics, Severity};
 

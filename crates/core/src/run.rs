@@ -1,8 +1,8 @@
 //! Executing compiled programs — forward or backward (§4.3.6, §5).
 //!
 //! A run is a three-stage pipeline executed by a [`Session`]: realize
-//! pins (`pin`), sample (`sample`, with the hardware model's internal
-//! phases recorded as `sample:*` sub-entries), and decode (`interpret`).
+//! pins (`pin`), sample (`sample`, followed by the hardware model's
+//! internal phases as `sample:*` entries), and decode (`interpret`).
 //! The per-stage [`Trace`] rides on [`RunOutcome`].
 
 use std::fmt;
@@ -11,12 +11,12 @@ use qac_pbf::{Ising, Spin};
 use qac_qmasm::pin::parse_pins;
 use qac_qmasm::Solution;
 use qac_solvers::{
-    BitParallelSa, DWaveSim, DWaveSimOptions, ExactSolver, ParallelTempering, PhaseTiming,
-    PopulationAnnealing, QbsolvStyle, SampleSet, Sampler, SimulatedAnnealing, Sqa, TabuSearch,
+    BitParallelSa, DWaveSim, DWaveSimOptions, ExactSolver, PopulationAnnealing, SampleSet, Sampler,
+    TabuSearch,
 };
+use qac_telemetry::{StageTrace, Trace};
 
 use crate::stage::{Session, Stage};
-use crate::trace::{StageTrace, Trace};
 use crate::{CompileError, Compiled};
 
 /// Which sampler executes the program.
@@ -24,42 +24,19 @@ use crate::{CompileError, Compiled};
 pub enum SolverChoice {
     /// Exhaustive enumeration (small models only).
     Exact,
-    /// Simulated annealing with the given sweep count.
+    /// Simulated annealing with the given sweep count, run by the
+    /// bit-parallel kernel ([`BitParallelSa`], 64 reads per word).
     Sa {
         /// Sweeps per read.
         sweeps: usize,
-    },
-    /// Bit-parallel simulated annealing (64 replicas per word).
-    BitParallel {
-        /// Sweeps per read.
-        sweeps: usize,
-    },
-    /// Parallel tempering on the packed-lane kernel.
-    ParallelTempering {
-        /// Sweeps per read.
-        sweeps: usize,
-        /// Temperature-ladder size (clamped to 2..=64 by the sampler).
-        rungs: usize,
     },
     /// Population annealing on the packed-lane kernel.
     PopulationAnnealing {
         /// Sweeps per read.
         sweeps: usize,
     },
-    /// Path-integral simulated quantum annealing.
-    Sqa {
-        /// Sweeps per read.
-        sweeps: usize,
-        /// Trotter slices.
-        slices: usize,
-    },
     /// Tabu search.
     Tabu,
-    /// qbsolv-style decomposition with the given subproblem size.
-    Qbsolv {
-        /// Subproblem variable budget.
-        subproblem: usize,
-    },
     /// The full hardware model: scale, embed on Chimera, distort, sample.
     DWave(Box<DWaveSimOptions>),
 }
@@ -342,9 +319,9 @@ impl Stage for PinStage<'_> {
 struct Sampled {
     set: SampleSet,
     hardware: Option<HardwareStats>,
-    /// Internal phases of the hardware model (empty for software
-    /// samplers).
-    phases: Vec<PhaseTiming>,
+    /// Internal phases of the hardware model, already named
+    /// `sample:*` (empty for software samplers).
+    phases: Vec<StageTrace>,
 }
 
 /// Draws samples from the pinned model with the chosen solver.
@@ -365,27 +342,13 @@ impl Stage for SampleStage<'_> {
         let mut phases = Vec::new();
         let set = match self.solver {
             SolverChoice::Exact => ExactSolver::new().sample(&model, self.num_reads),
-            SolverChoice::Sa { sweeps } => SimulatedAnnealing::new(self.seed)
+            SolverChoice::Sa { sweeps } => BitParallelSa::new(self.seed)
                 .with_sweeps(*sweeps)
-                .sample(&model, self.num_reads),
-            SolverChoice::BitParallel { sweeps } => BitParallelSa::new(self.seed)
-                .with_sweeps(*sweeps)
-                .sample(&model, self.num_reads),
-            SolverChoice::ParallelTempering { sweeps, rungs } => ParallelTempering::new(self.seed)
-                .with_sweeps(*sweeps)
-                .with_rungs(*rungs)
                 .sample(&model, self.num_reads),
             SolverChoice::PopulationAnnealing { sweeps } => PopulationAnnealing::new(self.seed)
                 .with_sweeps(*sweeps)
                 .sample(&model, self.num_reads),
-            SolverChoice::Sqa { sweeps, slices } => Sqa::new(self.seed)
-                .with_sweeps(*sweeps)
-                .with_slices(*slices)
-                .sample(&model, self.num_reads),
             SolverChoice::Tabu => TabuSearch::new(self.seed).sample(&model, self.num_reads),
-            SolverChoice::Qbsolv { subproblem } => QbsolvStyle::new(self.seed)
-                .with_subproblem_size(*subproblem)
-                .sample(&model, self.num_reads),
             SolverChoice::DWave(sim_options) => {
                 let sim = DWaveSim::new((**sim_options).clone());
                 let result = sim.run(&model, self.num_reads)?;
@@ -536,8 +499,8 @@ impl Compiled {
         )?;
 
         // Sample, surfacing the hardware model's internal phases as
-        // sample:* sub-entries of the trace.
-        let sampled = session.run(
+        // sample:* entries of the trace.
+        let mut sampled = session.run(
             &SampleStage {
                 solver: &options.solver,
                 seed: options.seed,
@@ -545,17 +508,8 @@ impl Compiled {
             },
             model,
         )?;
-        for phase in &sampled.phases {
-            session.record(StageTrace {
-                name: format!("sample:{}", phase.name),
-                duration: phase.duration,
-                input_size: 0,
-                output_size: 0,
-                retries: phase.retries,
-                alloc_bytes: 0,
-                alloc_peak_bytes: 0,
-                skipped: false,
-            });
+        for phase in sampled.phases.drain(..) {
+            session.record(phase);
         }
 
         // Decode.
@@ -784,16 +738,45 @@ mod tests {
     }
 
     #[test]
-    fn bit_parallel_solver_choices_find_valid_solutions() {
-        // The packed-lane samplers are drop-in SolverChoice variants:
-        // each must decode a valid 1+1=2 execution like scalar SA does.
+    fn sa_runs_the_bit_parallel_kernel() {
+        // SolverChoice::Sa is BitParallelSa at the run's seed and sweep
+        // count: the same pinned model must give exactly its samples.
+        let program = compiled();
+        let run = RunOptions::new()
+            .pin("s := 1")
+            .pin("a := 1")
+            .pin("b := 0")
+            .solver(SolverChoice::Sa { sweeps: 2 })
+            .num_reads(70)
+            .seed(0xb17);
+        let outcome = program.run(&run).unwrap();
+        let pins = parse_pins(["s := 1", "a := 1", "b := 0"]).unwrap();
+        let bias = (2.0 * program.assembled.chain_strength).max(2.0);
+        let model = program
+            .assembled
+            .pinned_model(&pins, qac_qmasm::PinStyle::Bias(bias))
+            .unwrap();
+        let direct = BitParallelSa::new(0xb17).with_sweeps(2).sample(&model, 70);
+        let mut got: Vec<(Vec<Spin>, usize)> = outcome
+            .samples
+            .iter()
+            .map(|s| (s.spins.clone(), s.occurrences))
+            .collect();
+        let mut want: Vec<(Vec<Spin>, usize)> = direct
+            .iter()
+            .map(|s| (s.spins.clone(), s.occurrences))
+            .collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn packed_solver_choices_find_valid_solutions() {
+        // Both packed-lane samplers must decode a valid 1+1=2 execution.
         let program = compiled();
         for solver in [
-            SolverChoice::BitParallel { sweeps: 200 },
-            SolverChoice::ParallelTempering {
-                sweeps: 200,
-                rungs: 8,
-            },
+            SolverChoice::Sa { sweeps: 200 },
             SolverChoice::PopulationAnnealing { sweeps: 200 },
         ] {
             let run = RunOptions::new()

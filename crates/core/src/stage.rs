@@ -10,9 +10,8 @@
 
 use std::time::Instant;
 
-use qac_telemetry::FlightKind;
+use qac_telemetry::{FlightKind, StageTrace, Trace};
 
-use crate::trace::{StageTrace, Trace};
 use crate::CompileError;
 
 /// One named pipeline transformation.
@@ -130,14 +129,9 @@ impl Session {
         qac_telemetry::global_flight().record(FlightKind::StageSkip, name, output_size as f64);
         qac_telemetry::global().counter_add("qac_incr_stage_hit_total", 1);
         self.trace.record(StageTrace {
-            name: name.to_string(),
-            duration: std::time::Duration::ZERO,
-            input_size: 0,
             output_size,
-            retries: 0,
-            alloc_bytes: 0,
-            alloc_peak_bytes: 0,
             skipped: true,
+            ..StageTrace::new(name, std::time::Duration::ZERO)
         });
     }
 

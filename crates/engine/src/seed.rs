@@ -10,11 +10,9 @@
 //!
 //! Distinctness matters as much as determinism: the splitmix finalizer
 //! is a *bijection* on `u64`, so two attempts of one job can never share
-//! a seed, and engine seeds cannot collide with the [`Portfolio`] arm
-//! seeds (`base + arm·γ`, no finalizer) except by 64-bit accident —
+//! a seed, and engine seeds cannot collide with the salted embedding
+//! restart and packed-sampler seed families except by 64-bit accident —
 //! `tests/determinism.rs` pins both properties.
-//!
-//! [`Portfolio`]: qac_solvers::Portfolio
 
 /// The golden-ratio increment γ used by splitmix64 to space stream
 /// states (odd, so `k ↦ k·γ (mod 2⁶⁴)` is a bijection).

@@ -1,13 +1,14 @@
 //! The engine's contract, enforced: a batch's results are byte-identical
 //! at 1, 2, or 8 worker threads, and no two random streams in the system
-//! (jobs, retries, portfolio arms) can silently collide.
+//! (jobs, retries, embedding restarts, sampler lanes) can silently
+//! collide.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use qac_core::{compile, CompileOptions, Compiled, RunOptions, SolverChoice};
 use qac_engine::{seed, BatchEngine, CancelToken, EngineOptions, JobResult, JobSpec, JobStatus};
-use qac_solvers::{DWaveSimOptions, Portfolio, Reseed, TabuSearch};
+use qac_solvers::DWaveSimOptions;
 
 const MUX_ADD_SUB: &str = r#"
     module circuit (s, a, b, c);
@@ -234,17 +235,13 @@ fn cancelled_batches_report_cancelled() {
 
 #[test]
 fn engine_and_portfolio_seed_families_never_collide() {
-    // The Reseed audit, cross-subsystem half: for the default engine and
-    // portfolio seeds, no engine attempt seed may equal a portfolio arm
-    // seed — otherwise a retried job and a portfolio arm would walk the
-    // same RNG stream and correlate their samples.
+    // The seed-family audit, cross-subsystem half: for the default
+    // engine seed, no engine attempt seed may equal another stream's
+    // seed — otherwise a retried job would walk the same RNG stream as
+    // an embedding restart or a sampler lane and correlate with it.
     use std::collections::HashSet;
     let engine = EngineOptions::default();
-    let portfolio = Portfolio::new(TabuSearch::new(0), 256);
     let mut seeds = HashSet::new();
-    for arm in 0..256 {
-        assert!(seeds.insert(portfolio.arm_seed(arm)));
-    }
     for job in 0..256u64 {
         for attempt in 0..4u64 {
             assert!(
@@ -255,51 +252,28 @@ fn engine_and_portfolio_seed_families_never_collide() {
     }
     // The embedding router's restart-race family is salted before its
     // splitmix mix (see `qac_chimera::restart_seed`), so its streams
-    // must land outside both the engine attempt family and the
-    // portfolio arm family — a collision would correlate a routing race
-    // with a sampler's RNG when a job embeds and then anneals.
+    // must land outside the engine attempt family — a collision would
+    // correlate a routing race with a sampler's RNG when a job embeds
+    // and then anneals.
     for try_index in 0..256u64 {
         assert!(
             seeds.insert(qac_chimera::restart_seed(engine.base_seed, try_index)),
             "embedding restart {try_index} collides with another stream"
         );
     }
-    // The packed-lane sampler families (per-replica lane seeds, the PT
-    // swap-schedule streams, and the PA resampling stream) are salted
-    // independently; all of them must stay disjoint from the engine,
-    // portfolio, and restart families above AND from each other, or a
-    // bit-parallel arm inside a portfolio would correlate with a retry.
+    // The packed-lane sampler families (per-replica lane seeds and the
+    // PA resampling stream) are salted independently; they must stay
+    // disjoint from the engine and restart families above AND from each
+    // other.
     for replica in 0..256u64 {
         assert!(
             seeds.insert(qac_solvers::lane_seed(engine.base_seed, replica)),
             "packed lane {replica} collides with another stream"
         );
     }
-    for group in 0..64u64 {
-        assert!(
-            seeds.insert(qac_solvers::pt_swap_seed(engine.base_seed, group)),
-            "PT swap stream {group} collides with another stream"
-        );
-    }
     assert!(
         seeds.insert(qac_solvers::pa_resample_seed(engine.base_seed)),
         "the PA resampling stream collides with another stream"
-    );
-    // Reseed impls must actually adopt the seed they are handed (a stale
-    // clone would silently share the base stream).
-    let reseeded = TabuSearch::new(7).reseed(99);
-    let direct = TabuSearch::new(99);
-    let mut m = qac_pbf::Ising::new(6);
-    m.add_h(0, 0.4);
-    m.add_j(0, 1, -1.0);
-    m.add_j(2, 3, 0.7);
-    m.add_j(4, 5, -0.3);
-    use qac_solvers::Sampler;
-    assert_eq!(m.num_vars(), 6);
-    assert_eq!(
-        reseeded.sample(&m, 5),
-        direct.sample(&m, 5),
-        "reseed(99) must behave exactly like a sampler built with seed 99"
     );
 }
 

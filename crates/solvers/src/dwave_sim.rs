@@ -17,7 +17,7 @@
 //!    §6.2-style per-solution costs can be reported.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,6 +30,7 @@ use qac_pbf::scale::{quantize, scale_to_range};
 use qac_pbf::Ising;
 
 use qac_pbf::Spin;
+use qac_telemetry::StageTrace;
 
 use crate::{Sample, SampleSet, Sampler};
 
@@ -68,22 +69,6 @@ impl TimingModel {
     }
 }
 
-/// Which stand-in annealer draws the physical samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PhysicalAnnealer {
-    /// Chain-block + single-qubit Metropolis sweeps (the default):
-    /// collective chain moves emulate the tunneling dynamics of analog
-    /// hardware, single-qubit moves produce realistic chain breaks.
-    #[default]
-    ChainBlock,
-    /// [`BitParallelSa`](crate::BitParallelSa) over the distorted
-    /// physical model: 64 reads per word, much faster, but chain-naive —
-    /// no collective chain moves, so long chains freeze more often.
-    /// Useful when the hardware model is a throughput stand-in rather
-    /// than a fidelity model.
-    BitParallel,
-}
-
 /// Options for the hardware model.
 #[derive(Debug, Clone)]
 pub struct DWaveSimOptions {
@@ -91,11 +76,6 @@ pub struct DWaveSimOptions {
     /// a Chimera C16). Also selects the coefficient range and the
     /// chain-strength clamp via [`Topology`].
     pub topology: TopologySpec,
-    /// Chimera mesh size; `0` (the new default) means "use `topology`".
-    /// A nonzero value wins over `topology`, preserving the meaning of
-    /// existing call sites that still set it.
-    #[deprecated(note = "set `topology: TopologySpec::Chimera { m }` instead")]
-    pub chimera_size: usize,
     /// Fraction of qubits lost to fabrication (deterministic per seed).
     pub dropout: f64,
     /// Base RNG seed (noise, annealing).
@@ -111,8 +91,6 @@ pub struct DWaveSimOptions {
     /// Sweeps of the stand-in annealer per read (more sweeps ≈ longer
     /// anneal time).
     pub anneal_sweeps: usize,
-    /// Which stand-in annealer runs the physical anneal phase.
-    pub annealer: PhysicalAnnealer,
     /// Embedding heuristic options.
     pub embed: EmbedOptions,
     /// Parallel embedding attempts; the cheapest result (by physical
@@ -127,18 +105,15 @@ pub struct DWaveSimOptions {
 }
 
 impl Default for DWaveSimOptions {
-    #[allow(deprecated)] // the shim field must still be initialized
     fn default() -> DWaveSimOptions {
         DWaveSimOptions {
             topology: TopologySpec::default(),
-            chimera_size: 0,
             dropout: 0.0,
             seed: 0xd_3caf,
             chain_strength: None,
             precision_bits: 5,
             noise_sigma: 0.01,
             anneal_sweeps: 64,
-            annealer: PhysicalAnnealer::default(),
             embed: EmbedOptions::default(),
             embed_attempts: 1,
             embedding_cache: None,
@@ -148,31 +123,11 @@ impl Default for DWaveSimOptions {
 }
 
 impl DWaveSimOptions {
-    /// The effective topology of this configuration: the deprecated
-    /// `chimera_size` shim wins when nonzero (so legacy call sites keep
-    /// their meaning), otherwise [`DWaveSimOptions::topology`].
-    #[allow(deprecated)] // this resolver is the shim's one sanctioned reader
+    /// The topology this configuration models
+    /// ([`DWaveSimOptions::topology`]).
     pub fn topology_spec(&self) -> TopologySpec {
-        if self.chimera_size != 0 {
-            TopologySpec::Chimera {
-                m: self.chimera_size,
-            }
-        } else {
-            self.topology
-        }
+        self.topology
     }
-}
-
-/// Wall-clock of one internal phase of a simulated job ("scale",
-/// "embed", "distort", "anneal", "unembed").
-#[derive(Debug, Clone)]
-pub struct PhaseTiming {
-    /// Phase name.
-    pub name: &'static str,
-    /// Time spent in the phase.
-    pub duration: Duration,
-    /// Retries the phase needed (embedding restarts; 0 elsewhere).
-    pub retries: usize,
 }
 
 /// The result of one simulated hardware job.
@@ -195,8 +150,10 @@ pub struct DWaveSimResult {
     /// Routing-work counters of the embedding step (all zero with
     /// `cache_hit` set when the embedding came from the cache).
     pub embed_stats: EmbedStats,
-    /// Measured wall-clock of each internal phase, in execution order.
-    pub phases: Vec<PhaseTiming>,
+    /// Measured wall-clock of each internal phase, in execution order:
+    /// `sample:scale`, `sample:embed` (retries = embedding restarts),
+    /// `sample:distort`, `sample:anneal`, `sample:unembed`.
+    pub phases: Vec<StageTrace>,
 }
 
 /// The simulated D-Wave annealer.
@@ -222,26 +179,25 @@ impl DWaveSim {
     /// Propagates [`EmbedError`] when the logical model does not fit the
     /// hardware graph.
     pub fn run(&self, logical: &Ising, num_reads: usize) -> Result<DWaveSimResult, EmbedError> {
-        // Spans mirror the PhaseTiming regions one-for-one: PhaseTiming
-        // stays the cheap always-on view (it rides on the result), the
-        // spans land in the global recorder when telemetry is enabled.
+        // Spans mirror the phase records one-for-one: the records are the
+        // cheap always-on view (they ride on the result), the spans land
+        // in the global recorder when telemetry is enabled.
         let telemetry = qac_telemetry::global();
         let o = &self.options;
-        let topology = o.topology_spec();
+        let topology = o.topology;
         let hardware = if o.dropout > 0.0 {
             topology.graph_with_dropout(o.dropout, o.seed)
         } else {
             topology.graph()
         };
 
-        let mut phases: Vec<PhaseTiming> = Vec::with_capacity(5);
+        let mut phases: Vec<StageTrace> = Vec::with_capacity(5);
         let mut phase_start = Instant::now();
-        let mut phase_done = |phases: &mut Vec<PhaseTiming>, name, retries| {
+        let mut phase_done = |phases: &mut Vec<StageTrace>, name: &str, retries| {
             let now = Instant::now();
-            phases.push(PhaseTiming {
-                name,
-                duration: now - phase_start,
+            phases.push(StageTrace {
                 retries,
+                ..StageTrace::new(name, now - phase_start)
             });
             phase_start = now;
         };
@@ -251,7 +207,7 @@ impl DWaveSim {
         let range = topology.coefficient_range();
         let scaled = scale_to_range(logical, range);
         drop(scale_span);
-        phase_done(&mut phases, "scale", 0);
+        phase_done(&mut phases, "sample:scale", 0);
 
         // 2. Embed — optionally through the shared cache, optionally as a
         // portfolio of parallel attempts. A failed portfolio falls back to
@@ -293,27 +249,18 @@ impl DWaveSim {
         drop(embed_span);
         // Machine-independent routing-work counters: wall time drifts
         // with the host, these only drift if the router actually does
-        // more work, so CI can put a hard budget on them. Each counter
-        // is emitted twice — the unlabeled aggregate and a
-        // `{topology="family"}` variant so budgets can be set per fabric.
-        let family = topology.family();
-        for (name, value) in [
-            (
-                "qac_route_iterations_total",
-                embed_stats.route_iterations as u64,
-            ),
-            ("qac_embed_restarts_total", embed_stats.restarts as u64),
-            ("qac_embed_heap_pops_total", embed_stats.heap_pops),
-            (
-                "qac_embed_edge_relaxations_total",
-                embed_stats.edge_relaxations,
-            ),
-            ("qac_embed_weight_updates_total", embed_stats.weight_updates),
-        ] {
-            telemetry.counter_add(name, value);
-            telemetry.counter_add(&format!("{name}{{topology=\"{family}\"}}"), value);
-        }
-        phase_done(&mut phases, "embed", embed_stats.restarts);
+        // more work, so CI can put a hard budget on them. The router has
+        // already added the unlabeled heap-pop, edge-relaxation and
+        // weight-update totals; iterations and restarts are counted
+        // here, and every counter also gets a `{topology="family"}`
+        // variant so budgets can be set per fabric.
+        telemetry.counter_add(
+            "qac_route_iterations_total",
+            embed_stats.route_iterations as u64,
+        );
+        telemetry.counter_add("qac_embed_restarts_total", embed_stats.restarts as u64);
+        embed_stats.record_topology_counters(topology.family());
+        phase_done(&mut phases, "sample:embed", embed_stats.restarts);
 
         let distort_span = telemetry.span("sample:distort");
 
@@ -348,7 +295,7 @@ impl DWaveSim {
             distorted = noisy;
         }
         drop(distort_span);
-        phase_done(&mut phases, "distort", 0);
+        phase_done(&mut phases, "sample:distort", 0);
 
         // 4. Stochastic sampling. Plain single-flip annealing cannot cross
         // the energy barrier of a long intact chain (the physical device
@@ -359,20 +306,15 @@ impl DWaveSim {
         let mut anneal_span = telemetry.span("sample:anneal");
         anneal_span.arg("reads", num_reads as f64);
         anneal_span.arg("sweeps", o.anneal_sweeps.max(1) as f64);
-        let physical_set = match o.annealer {
-            PhysicalAnnealer::ChainBlock => anneal_embedded(
-                &distorted,
-                &embedding,
-                o.anneal_sweeps.max(1),
-                o.seed ^ 0xa1_ea1,
-                num_reads,
-            ),
-            PhysicalAnnealer::BitParallel => crate::BitParallelSa::new(o.seed ^ 0xa1_ea1)
-                .with_sweeps(o.anneal_sweeps.max(1))
-                .sample(&distorted, num_reads),
-        };
+        let physical_set = anneal_embedded(
+            &distorted,
+            &embedding,
+            o.anneal_sweeps.max(1),
+            o.seed ^ 0xa1_ea1,
+            num_reads,
+        );
         drop(anneal_span);
-        phase_done(&mut phases, "anneal", 0);
+        phase_done(&mut phases, "sample:anneal", 0);
 
         // 5. Decode with majority vote; re-evaluate energies logically.
         let unembed_span = telemetry.span("sample:unembed");
@@ -408,7 +350,7 @@ impl DWaveSim {
         let logical_set = SampleSet::from_samples(decoded);
         let physical_terms = embedded.physical.num_terms(1e-12);
         drop(unembed_span);
-        phase_done(&mut phases, "unembed", 0);
+        phase_done(&mut phases, "sample:unembed", 0);
 
         Ok(DWaveSimResult {
             logical: logical_set,
@@ -621,31 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_parallel_annealer_solves_a_pinned_chain() {
-        // The multi-spin stand-in is opt-in and still reaches the same
-        // logical ground state on an easy chain; the default remains
-        // the chain-block annealer (pinned by the golden fixtures).
-        let mut m = Ising::new(4);
-        m.add_h(0, -1.0);
-        for i in 0..3 {
-            m.add_j(i, i + 1, -1.0);
-        }
-        let opts = DWaveSimOptions {
-            annealer: PhysicalAnnealer::BitParallel,
-            ..small_options()
-        };
-        let result = DWaveSim::new(opts).run(&m, 50).unwrap();
-        assert_eq!(result.logical.best().unwrap().spins, vec![Spin::Up; 4]);
-        // Deterministic like every sampler here.
-        let opts = DWaveSimOptions {
-            annealer: PhysicalAnnealer::BitParallel,
-            ..small_options()
-        };
-        let again = DWaveSim::new(opts).run(&m, 50).unwrap();
-        assert_eq!(result.logical, again.logical);
-    }
-
-    #[test]
     fn noise_and_quantization_disabled_cleanly() {
         let mut m = Ising::new(2);
         m.add_j(0, 1, -1.0);
@@ -660,26 +577,6 @@ mod tests {
         assert_eq!(
             result.logical.best().unwrap().spins,
             vec![Spin::Up, Spin::Up]
-        );
-    }
-
-    #[test]
-    fn deprecated_chimera_size_shim_wins_when_nonzero() {
-        #[allow(deprecated)]
-        let legacy = DWaveSimOptions {
-            chimera_size: 2,
-            topology: TopologySpec::Pegasus { m: 4 },
-            ..Default::default()
-        };
-        assert_eq!(legacy.topology_spec(), TopologySpec::Chimera { m: 2 });
-        let modern = DWaveSimOptions {
-            topology: TopologySpec::Pegasus { m: 4 },
-            ..Default::default()
-        };
-        assert_eq!(modern.topology_spec(), TopologySpec::Pegasus { m: 4 });
-        assert_eq!(
-            DWaveSimOptions::default().topology_spec(),
-            TopologySpec::Chimera { m: 16 }
         );
     }
 
@@ -728,8 +625,17 @@ mod tests {
         m.add_j(0, 1, -1.0);
         m.add_j(1, 2, -1.0);
         let result = DWaveSim::new(small_options()).run(&m, 10).unwrap();
-        let names: Vec<&str> = result.phases.iter().map(|p| p.name).collect();
-        assert_eq!(names, ["scale", "embed", "distort", "anneal", "unembed"]);
+        let names: Vec<&str> = result.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "sample:scale",
+                "sample:embed",
+                "sample:distort",
+                "sample:anneal",
+                "sample:unembed"
+            ]
+        );
         assert!(result.embed_stats.restarts >= 1);
         assert!(!result.embed_stats.cache_hit);
         assert_eq!(result.phases[1].retries, result.embed_stats.restarts);

@@ -7,44 +7,36 @@
 //!
 //! * [`ExactSolver`] — exhaustive enumeration (the oracle for tests and
 //!   small problems);
-//! * [`SimulatedAnnealing`] — multi-read Metropolis annealing with a
-//!   geometric β schedule, parallelized across reads;
-//! * [`BitParallelSa`] — the same annealing with 64 replicas packed per
-//!   machine word (multi-spin coding), an order of magnitude more
-//!   reads/sec than the scalar path;
-//! * [`ParallelTempering`] — replica exchange across a fixed geometric
-//!   temperature ladder on the packed-lane kernel;
+//! * [`BitParallelSa`] — simulated annealing with a geometric β schedule
+//!   and 64 replicas packed per machine word (multi-spin coding); the
+//!   sampler behind `SolverChoice::Sa`;
 //! * [`PopulationAnnealing`] — annealing with Boltzmann-weight
-//!   systematic resampling on the packed-lane kernel;
-//! * [`Sqa`] — simulated *quantum* annealing by path-integral Monte Carlo
-//!   (the approach of Hitachi's annealer the paper cites);
+//!   systematic resampling on the same packed-lane kernel;
 //! * [`TabuSearch`] — deterministic local search with a tabu list, the
 //!   core move of D-Wave's classical `qbsolv`;
-//! * [`QbsolvStyle`] — qbsolv-style decomposition: splits problems larger
-//!   than a sub-solver budget into impact-selected subproblems;
-//! * [`Portfolio`] — wraps any reseedable sampler and splits the read
-//!   budget across N differently-seeded parallel copies;
 //! * [`DWaveSim`] — an end-to-end hardware model: minor embedding onto
 //!   any [`TopologySpec`] fabric (Chimera by default, as in the paper),
 //!   coefficient scaling and quantization, analog noise, stochastic
-//!   sampling, majority-vote unembedding, chain-break accounting, and a
-//!   timing model for §6.2-style per-solution costs.
+//!   sampling with chain-block moves, majority-vote unembedding,
+//!   chain-break accounting, and a timing model for §6.2-style
+//!   per-solution costs.
 //!
-//! All samplers implement [`Sampler`] and are deterministic under a fixed
-//! seed (reads are seeded independently, so thread scheduling cannot
-//! change results).
+//! Each heuristic sampler earns its place on some workload (DESIGN.md
+//! §13 keeps the time-to-solution table). All samplers implement
+//! [`Sampler`] and are deterministic under a fixed seed (reads are
+//! seeded independently, so thread scheduling cannot change results).
 //!
 //! # Example
 //!
 //! ```
 //! use qac_pbf::{Ising, Spin};
-//! use qac_solvers::{Sampler, SimulatedAnnealing};
+//! use qac_solvers::{BitParallelSa, Sampler};
 //!
 //! // A ferromagnetic pair pinned up: ground state (+1, +1).
 //! let mut model = Ising::new(2);
 //! model.add_h(0, -1.0);
 //! model.add_j(0, 1, -1.0);
-//! let sampler = SimulatedAnnealing::new(7).with_sweeps(50);
+//! let sampler = BitParallelSa::new(7).with_sweeps(50);
 //! let result = sampler.sample(&model, 20);
 //! let best = result.best().unwrap();
 //! assert_eq!(best.spins, vec![Spin::Up, Spin::Up]);
@@ -56,27 +48,17 @@
 mod dwave_sim;
 mod exact;
 mod multispin;
-mod portfolio;
-mod qbsolv;
-mod sa;
 mod sample;
-mod sqa;
 mod tabu;
 
-pub use dwave_sim::{
-    DWaveSim, DWaveSimOptions, DWaveSimResult, PhaseTiming, PhysicalAnnealer, TimingModel,
+pub use dwave_sim::{DWaveSim, DWaveSimOptions, DWaveSimResult, TimingModel};
+pub use exact::ExactSolver;
+pub use multispin::{
+    lane_seed, pa_resample_seed, BitParallelSa, PaStats, PopulationAnnealing, LANE_SEED_SALT,
+    PA_RESAMPLE_SEED_SALT,
 };
 // Re-exported so DWaveSimOptions call sites can name a fabric without
 // depending on qac-chimera directly.
-pub use exact::ExactSolver;
-pub use multispin::{
-    lane_seed, pa_resample_seed, pt_swap_seed, BitParallelSa, PaStats, ParallelTempering,
-    PopulationAnnealing, PtStats, LANE_SEED_SALT, PA_RESAMPLE_SEED_SALT, PT_SWAP_SEED_SALT,
-};
-pub use portfolio::{Portfolio, Reseed};
 pub use qac_chimera::{Topology, TopologySpec};
-pub use qbsolv::QbsolvStyle;
-pub use sa::SimulatedAnnealing;
 pub use sample::{Sample, SampleSet, Sampler};
-pub use sqa::Sqa;
 pub use tabu::TabuSearch;

@@ -1,9 +1,8 @@
 //! Bit-parallel multi-spin samplers: 64 replicas per machine word.
 //!
 //! Classical SA is the throughput floor for the paper's "run verifiers
-//! backward at scale" workflow (§2, §6), and the scalar
-//! [`SimulatedAnnealing`](crate::SimulatedAnnealing) path pays a
-//! cryptographic RNG draw and an `exp()` per Metropolis proposal. This
+//! backward at scale" workflow (§2, §6). A scalar annealer pays a
+//! cryptographic RNG draw and an `exp()` per Metropolis proposal; this
 //! module packs 64 *independent* replicas into one `u64` per variable
 //! (bit L = replica L's spin, 1 = [`Spin::Up`]) and sweeps all of them
 //! at once:
@@ -17,15 +16,13 @@
 //!   `β·δ ≤ T[u8]` with `T[k] = −ln((k+0.5)/256)`, so the hot loop does
 //!   no `exp()` and draws one cheap xorshift64 word per lane;
 //! * every lane owns a splitmix64-derived seed from a salted family
-//!   ([`lane_seed`]) that is disjoint from the portfolio-arm, engine
-//!   job/attempt, and embedding-restart families (DESIGN.md §13).
+//!   ([`lane_seed`]) that is disjoint from the engine job/attempt and
+//!   embedding-restart families (DESIGN.md §13).
 //!
-//! Three samplers share the kernel: [`BitParallelSa`] (independent
-//! annealing restarts, the ≥10× replacement for the scalar path),
-//! [`ParallelTempering`] (replica exchange across a fixed geometric β
-//! ladder with a deterministic even/odd swap schedule), and
+//! Two samplers share the kernel: [`BitParallelSa`] (independent
+//! annealing restarts, the sampler behind `SolverChoice::Sa`) and
 //! [`PopulationAnnealing`] (Boltzmann-weight systematic resampling).
-//! All are deterministic under a fixed seed at any thread count, and
+//! Both are deterministic under a fixed seed at any thread count, and
 //! [`BitParallelSa::sample_reference`] provides a mask-width-1 scalar
 //! oracle that the packed kernel must match bit for bit.
 
@@ -47,10 +44,6 @@ const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 /// [`lane_seed`] and the seed-family map in DESIGN.md §13.
 pub const LANE_SEED_SALT: u64 = 0x4c41_4e45_5f53_414c;
 
-/// Salt of the parallel-tempering swap-decision family (`b"PT_SWAPS"`);
-/// see [`pt_swap_seed`].
-pub const PT_SWAP_SEED_SALT: u64 = 0x5054_5f53_5741_5053;
-
 /// Salt of the population-annealing resampling family (`b"PA_RESAM"`);
 /// see [`pa_resample_seed`].
 pub const PA_RESAMPLE_SEED_SALT: u64 = 0x5041_5f52_4553_414d;
@@ -70,24 +63,13 @@ fn splitmix64(state: u64) -> u64 {
 /// The family is salted with [`LANE_SEED_SALT`] *before* the first
 /// splitmix finalize and spaced by the golden gamma before the second,
 /// so its streams are pairwise distinct and structurally disjoint from
-/// the portfolio-arm family (`base + arm·γ`, unfinalized), the engine
-/// job/attempt families (`mix(base + k·γ)`), and the embedding restart
-/// family (its own salt) — pinned by the engine's Reseed-audit test.
+/// the engine job/attempt families (`mix(base + k·γ)`) and the
+/// embedding restart family (its own salt) — pinned by the engine's
+/// seed-family audit test.
 pub fn lane_seed(base: u64, replica: u64) -> u64 {
     splitmix64(
         splitmix64(base ^ LANE_SEED_SALT)
             .wrapping_add(replica.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
-    )
-}
-
-/// The swap-decision RNG seed of parallel-tempering group `group`
-/// (global index) under sampler base seed `base`. Salted with
-/// [`PT_SWAP_SEED_SALT`] so swap decisions never share a stream with
-/// any replica lane.
-pub fn pt_swap_seed(base: u64, group: u64) -> u64 {
-    splitmix64(
-        splitmix64(base ^ PT_SWAP_SEED_SALT)
-            .wrapping_add(group.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
     )
 }
 
@@ -130,16 +112,6 @@ fn accept_table() -> [f32; 256] {
     let mut table = [0.0f32; 256];
     for (k, slot) in table.iter_mut().enumerate() {
         *slot = (-(((k as f64) + 0.5) / 256.0).ln()) as f32;
-    }
-    table
-}
-
-/// `f64` twin of [`accept_table`] for the (cold-path) tempering swap
-/// decisions, which work on f64 β ladders.
-fn accept_table_f64() -> [f64; 256] {
-    let mut table = [0.0f64; 256];
-    for (k, slot) in table.iter_mut().enumerate() {
-        *slot = -(((k as f64) + 0.5) / 256.0).ln();
     }
     table
 }
@@ -398,9 +370,9 @@ impl LaneBlock {
 /// Derives the automatic β schedule from the model's energy scale:
 /// start hot enough to accept the largest single-flip move ~50% of the
 /// time, finish cold enough to freeze the smallest one to ~e⁻¹⁰.
-/// Shared verbatim with the scalar SA path so "equal sweep budget"
-/// comparisons anneal over the same temperatures.
-pub(crate) fn auto_beta_range(model: &Ising) -> (f64, f64) {
+/// Shared by both samplers, so "equal sweep budget" comparisons anneal
+/// over the same temperatures.
+fn auto_beta_range(model: &Ising) -> (f64, f64) {
     let adj = model.csr_adjacency();
     // Max |ΔE| of a single flip, bounded by 2(|h| + Σ|J|) per site.
     let mut max_delta = 0.0f64;
@@ -423,8 +395,7 @@ pub(crate) fn auto_beta_range(model: &Ising) -> (f64, f64) {
 }
 
 /// The geometric per-sweep β ladder, pre-cast to f32 (the schedule is
-/// derived in f64 exactly like the scalar path, then each sweep's value
-/// is truncated once).
+/// derived in f64, then each sweep's value is truncated once).
 fn beta_ladder(betas: (f64, f64), sweeps: usize) -> Vec<f32> {
     let (beta_min, beta_max) = betas;
     let sweeps = sweeps.max(1);
@@ -442,7 +413,7 @@ fn beta_ladder(betas: (f64, f64), sweeps: usize) -> Vec<f32> {
 /// Emits the per-sampler telemetry contract: a reads-per-second gauge
 /// plus deterministic word-sweep and flip counters (one word-sweep =
 /// one full-model sweep of one 64-lane word).
-pub(crate) fn emit_sampler_metrics(
+fn emit_sampler_metrics(
     name: &str,
     num_reads: usize,
     started: Instant,
@@ -468,9 +439,8 @@ pub(crate) fn emit_sampler_metrics(
     );
 }
 
-/// Bit-parallel simulated annealing: the drop-in multi-spin replacement
-/// for [`SimulatedAnnealing`](crate::SimulatedAnnealing), annealing 64
-/// independent replicas per word with the same geometric β schedule.
+/// Bit-parallel simulated annealing: Metropolis annealing along a
+/// geometric β schedule, 64 independent replicas per word.
 ///
 /// Reads are replica lanes seeded from [`lane_seed`], so results are
 /// deterministic for a fixed seed at any thread count, and a prefix of
@@ -495,14 +465,7 @@ impl BitParallelSa {
         }
     }
 
-    /// Replaces the base seed (the portfolio reseed contract).
-    pub fn with_seed(mut self, seed: u64) -> BitParallelSa {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the number of full-model sweeps per read (clamped ≥ 1,
-    /// matching the scalar path).
+    /// Sets the number of full-model sweeps per read (clamped ≥ 1).
     pub fn with_sweeps(mut self, sweeps: usize) -> BitParallelSa {
         self.sweeps = sweeps.max(1);
         self
@@ -710,275 +673,6 @@ impl Sampler for BitParallelSa {
     }
 }
 
-/// Swap statistics of one [`ParallelTempering::sample_with_stats`] run.
-/// All fields are deterministic per (model, seed, config) — thread
-/// scheduling cannot change them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PtStats {
-    /// Adjacent-rung swaps attempted by the deterministic schedule.
-    pub swap_attempts: u64,
-    /// Swaps accepted by the Metropolis exchange criterion.
-    pub swap_accepts: u64,
-    /// Accepted single-spin flips across all lanes (anneal + descent).
-    pub flips: u64,
-}
-
-/// Parallel tempering (replica exchange) on the packed-lane kernel.
-///
-/// Each word hosts `64 / rungs` independent tempering groups; a group's
-/// lanes sit on a fixed geometric β ladder and, every `swap_interval`
-/// sweeps, adjacent rungs attempt a deterministic even/odd-alternating
-/// Metropolis *temperature* swap (lanes keep their configurations and
-/// trade β — a lane→rung permutation, no spin copying). Each group
-/// contributes one read: whichever lane holds the coldest rung at the
-/// end, after greedy descent.
-#[derive(Debug, Clone)]
-pub struct ParallelTempering {
-    seed: u64,
-    sweeps: usize,
-    rungs: usize,
-    swap_interval: usize,
-    beta_range: Option<(f64, f64)>,
-    threads: usize,
-}
-
-impl ParallelTempering {
-    /// A sampler with the given seed and defaults: 256 sweeps, 8 rungs
-    /// (8 groups per word), swaps every 4 sweeps, automatic β range.
-    pub fn new(seed: u64) -> ParallelTempering {
-        ParallelTempering {
-            seed,
-            sweeps: 256,
-            rungs: 8,
-            swap_interval: 4,
-            beta_range: None,
-            threads: 4,
-        }
-    }
-
-    /// Replaces the base seed (the portfolio reseed contract).
-    pub fn with_seed(mut self, seed: u64) -> ParallelTempering {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the number of sweeps (clamped ≥ 1).
-    pub fn with_sweeps(mut self, sweeps: usize) -> ParallelTempering {
-        self.sweeps = sweeps.max(1);
-        self
-    }
-
-    /// Sets the temperature-ladder size (clamped to 2..=64). Rungs that
-    /// do not divide 64 leave `64 mod rungs` lanes of each word idle.
-    pub fn with_rungs(mut self, rungs: usize) -> ParallelTempering {
-        self.rungs = rungs.clamp(2, 64);
-        self
-    }
-
-    /// Sets how many sweeps run between swap rounds (clamped ≥ 1).
-    pub fn with_swap_interval(mut self, interval: usize) -> ParallelTempering {
-        self.swap_interval = interval.max(1);
-        self
-    }
-
-    /// Overrides the automatic β (inverse temperature) range spanned by
-    /// the ladder.
-    pub fn with_beta_range(mut self, beta_min: f64, beta_max: f64) -> ParallelTempering {
-        assert!(
-            beta_min > 0.0 && beta_max >= beta_min,
-            "need 0 < beta_min <= beta_max"
-        );
-        self.beta_range = Some((beta_min, beta_max));
-        self
-    }
-
-    /// Sets the worker thread count (clamped ≥ 1); words are
-    /// independent, so results do not depend on it.
-    pub fn with_threads(mut self, threads: usize) -> ParallelTempering {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Samples and additionally returns the deterministic swap/flip
-    /// statistics (the statistical-sanity tests pin these).
-    pub fn sample_with_stats(&self, model: &Ising, num_reads: usize) -> (SampleSet, PtStats) {
-        let started = Instant::now();
-        let n = model.num_vars();
-        if num_reads == 0 || n == 0 {
-            let reads = if n == 0 {
-                vec![Vec::new(); num_reads]
-            } else {
-                Vec::new()
-            };
-            return (SampleSet::from_reads(model, reads), PtStats::default());
-        }
-        let pm = PackedModel::build(model);
-        let (beta_min, beta_max) = self.beta_range.unwrap_or_else(|| auto_beta_range(model));
-        let rungs = self.rungs;
-        // Geometric rung ladder β_r = β_min·(β_max/β_min)^(r/(R−1)):
-        // rung R−1 is the coldest.
-        let ladder: Vec<f64> = (0..rungs)
-            .map(|r| beta_min * (beta_max / beta_min).powf(r as f64 / (rungs - 1) as f64))
-            .collect();
-        let ladder32: Vec<f32> = ladder.iter().map(|&b| b as f32).collect();
-        let table = accept_table();
-        let table64 = accept_table_f64();
-        let gpw = 64 / rungs;
-        let words = num_reads.div_ceil(gpw);
-        let interval = self.swap_interval;
-        let flight = qac_telemetry::global_flight();
-
-        // One word: `groups_here` tempering ensembles of `rungs` lanes.
-        let run_word = |w: usize| -> (Vec<Vec<Spin>>, PtStats) {
-            let groups_here = (num_reads - w * gpw).min(gpw);
-            let mut seeds = [0u64; 64];
-            for (l, slot) in seeds.iter_mut().enumerate() {
-                *slot = lane_seed(self.seed, (w * 64 + l) as u64);
-            }
-            let mut block = LaneBlock::new(&pm, &seeds, active_mask(groups_here * rungs));
-            // lane_of_rung[g][r]: which lane currently holds rung r of
-            // group g (identity at the start).
-            let mut lane_of_rung: Vec<Vec<usize>> = (0..groups_here)
-                .map(|g| (0..rungs).map(|r| g * rungs + r).collect())
-                .collect();
-            for (l, slot) in block.betas.iter_mut().enumerate() {
-                *slot = ladder32[(l % rungs).min(rungs - 1)];
-            }
-            let mut swap_rng: Vec<u64> = (0..groups_here)
-                .map(|g| nonzero_state(pt_swap_seed(self.seed, (w * gpw + g) as u64)))
-                .collect();
-            let mut stats = PtStats::default();
-            let mut round = 0usize;
-            for s in 0..self.sweeps {
-                block.sweep(&pm, &table);
-                if (s + 1) % interval != 0 {
-                    continue;
-                }
-                // Deterministic schedule: alternate even pairs (0,1),
-                // (2,3), … and odd pairs (1,2), (3,4), … each round.
-                let parity = round % 2;
-                round += 1;
-                for (g, lanes) in lane_of_rung.iter_mut().enumerate() {
-                    let mut r = parity;
-                    while r + 1 < rungs {
-                        let (la, lb) = (lanes[r], lanes[r + 1]);
-                        // Metropolis exchange: accept with probability
-                        // min(1, exp((β_cold−β_hot)(E_cold−E_hot))).
-                        let gain = (ladder[r + 1] - ladder[r])
-                            * (f64::from(block.energies[lb]) - f64::from(block.energies[la]));
-                        stats.swap_attempts += 1;
-                        let x = xorshift64(&mut swap_rng[g]);
-                        if -gain <= table64[(x >> 56) as usize] {
-                            lanes.swap(r, r + 1);
-                            block.betas[la] = ladder32[r + 1];
-                            block.betas[lb] = ladder32[r];
-                            stats.swap_accepts += 1;
-                        }
-                        r += 2;
-                    }
-                }
-            }
-            let mut cold_mask = 0u64;
-            for lanes in &lane_of_rung {
-                cold_mask |= 1u64 << lanes[rungs - 1];
-            }
-            block.descend(&pm, cold_mask);
-            stats.flips = block.flips;
-            let reads = lane_of_rung
-                .iter()
-                .map(|lanes| block.lane_spins(lanes[rungs - 1]))
-                .collect();
-            (reads, stats)
-        };
-
-        let threads = self.threads.min(words);
-        let (reads, stats) = if threads <= 1 {
-            let mut out = vec![Vec::new(); num_reads];
-            let mut stats = PtStats::default();
-            for w in 0..words {
-                let (reads, s) = run_word(w);
-                stats.swap_attempts += s.swap_attempts;
-                stats.swap_accepts += s.swap_accepts;
-                stats.flips += s.flips;
-                for (g, read) in reads.into_iter().enumerate() {
-                    out[w * gpw + g] = read;
-                }
-                flight.record(
-                    qac_telemetry::FlightKind::SamplerMilestone,
-                    "pt",
-                    ((w + 1) * gpw).min(num_reads) as f64,
-                );
-            }
-            (out, stats)
-        } else {
-            let out = Mutex::new(vec![Vec::new(); num_reads]);
-            let attempts = AtomicU64::new(0);
-            let accepts = AtomicU64::new(0);
-            let flips = AtomicU64::new(0);
-            let trace = qac_telemetry::current_trace();
-            crossbeam::scope(|scope| {
-                for t in 0..threads {
-                    let out = &out;
-                    let (attempts, accepts, flips) = (&attempts, &accepts, &flips);
-                    let run_word = &run_word;
-                    scope.spawn(move |_| {
-                        let mut done = 0usize;
-                        let mut w = t;
-                        while w < words {
-                            let (reads, s) = run_word(w);
-                            attempts.fetch_add(s.swap_attempts, Ordering::Relaxed);
-                            accepts.fetch_add(s.swap_accepts, Ordering::Relaxed);
-                            flips.fetch_add(s.flips, Ordering::Relaxed);
-                            done += reads.len();
-                            let mut slots = out.lock();
-                            for (g, read) in reads.into_iter().enumerate() {
-                                slots[w * gpw + g] = read;
-                            }
-                            drop(slots);
-                            w += threads;
-                        }
-                        flight.record_for(
-                            trace,
-                            qac_telemetry::FlightKind::SamplerMilestone,
-                            &format!("pt:thread:{t}"),
-                            done as f64,
-                        );
-                    });
-                }
-            })
-            .expect("tempering threads do not panic");
-            (
-                out.into_inner(),
-                PtStats {
-                    swap_attempts: attempts.load(Ordering::Relaxed),
-                    swap_accepts: accepts.load(Ordering::Relaxed),
-                    flips: flips.load(Ordering::Relaxed),
-                },
-            )
-        };
-        let set = SampleSet::from_reads(model, reads);
-        emit_sampler_metrics(
-            "pt",
-            num_reads,
-            started,
-            (self.sweeps * words) as u64,
-            stats.flips,
-        );
-        let recorder = qac_telemetry::global();
-        if recorder.is_enabled() {
-            recorder.counter_add("qac_sampler_pt_swaps_total", stats.swap_attempts);
-            recorder.counter_add("qac_sampler_pt_swap_accepts_total", stats.swap_accepts);
-        }
-        (set, stats)
-    }
-}
-
-impl Sampler for ParallelTempering {
-    fn sample(&self, model: &Ising, num_reads: usize) -> SampleSet {
-        self.sample_with_stats(model, num_reads).0
-    }
-}
-
 /// Resampling statistics of one
 /// [`PopulationAnnealing::sample_with_stats`] run; deterministic per
 /// (model, seed, config).
@@ -1021,12 +715,6 @@ impl PopulationAnnealing {
             beta_range: None,
             threads: 4,
         }
-    }
-
-    /// Replaces the base seed (the portfolio reseed contract).
-    pub fn with_seed(mut self, seed: u64) -> PopulationAnnealing {
-        self.seed = seed;
-        self
     }
 
     /// Sets the number of sweeps (clamped ≥ 1).
@@ -1334,13 +1022,6 @@ mod tests {
         let bp8 = BitParallelSa::new(7).with_sweeps(50).with_threads(8);
         assert_eq!(bp1.sample(&m, 130), bp8.sample(&m, 130));
 
-        let pt1 = ParallelTempering::new(7).with_sweeps(50).with_threads(1);
-        let pt8 = ParallelTempering::new(7).with_sweeps(50).with_threads(8);
-        let (set1, stats1) = pt1.sample_with_stats(&m, 20);
-        let (set8, stats8) = pt8.sample_with_stats(&m, 20);
-        assert_eq!(set1, set8);
-        assert_eq!(stats1, stats8);
-
         let pa1 = PopulationAnnealing::new(7).with_sweeps(50).with_threads(1);
         let pa8 = PopulationAnnealing::new(7).with_sweeps(50).with_threads(8);
         let (set1, stats1) = pa1.sample_with_stats(&m, 130);
@@ -1350,17 +1031,10 @@ mod tests {
     }
 
     #[test]
-    fn pt_and_pa_reach_ground_on_small_models() {
+    fn pa_reaches_ground_on_small_models() {
         for seed in 0..5 {
             let m = random_model(0xc0de + seed, 10);
             let exact = ExactSolver::new().minimum_energy(&m);
-            let pt = ParallelTempering::new(99)
-                .with_sweeps(200)
-                .sample(&m, 16)
-                .best()
-                .unwrap()
-                .energy;
-            assert!((pt - exact).abs() < 1e-9, "seed {seed}: pt {pt} vs {exact}");
             let pa = PopulationAnnealing::new(99)
                 .with_sweeps(200)
                 .sample(&m, 32)
@@ -1375,7 +1049,6 @@ mod tests {
     fn empty_and_zero_read_edges() {
         let empty = Ising::new(0);
         assert_eq!(BitParallelSa::new(1).sample(&empty, 3).total_reads(), 3);
-        assert_eq!(ParallelTempering::new(1).sample(&empty, 3).total_reads(), 3);
         assert_eq!(
             PopulationAnnealing::new(1).sample(&empty, 3).total_reads(),
             3
@@ -1384,7 +1057,6 @@ mod tests {
         let m = random_model(9, 6);
         for set in [
             BitParallelSa::new(1).sample(&m, 0),
-            ParallelTempering::new(1).sample(&m, 0),
             PopulationAnnealing::new(1).sample(&m, 0),
         ] {
             assert_eq!(set.total_reads(), 0);
@@ -1394,43 +1066,14 @@ mod tests {
 
     #[test]
     fn seed_families_are_pairwise_disjoint_in_sample() {
-        // Lane, swap, and resample streams must not collide with each
-        // other for realistic index ranges (the engine-side audit
-        // additionally checks them against job/attempt/arm families).
+        // Lane and resample streams must not collide with each other
+        // for realistic index ranges (the engine-side audit additionally
+        // checks them against the job/attempt and restart families).
         let base = 42u64;
         let mut seen = std::collections::HashSet::new();
         for r in 0..4096u64 {
             assert!(seen.insert(lane_seed(base, r)), "lane {r} collides");
         }
-        for g in 0..1024u64 {
-            assert!(seen.insert(pt_swap_seed(base, g)), "swap {g} collides");
-        }
         assert!(seen.insert(pa_resample_seed(base)), "resample collides");
-    }
-
-    #[test]
-    fn with_seed_matches_fresh_construction() {
-        let m = random_model(13, 10);
-        assert_eq!(
-            BitParallelSa::new(1)
-                .with_seed(2)
-                .with_sweeps(20)
-                .sample(&m, 10),
-            BitParallelSa::new(2).with_sweeps(20).sample(&m, 10),
-        );
-        assert_eq!(
-            ParallelTempering::new(1)
-                .with_seed(2)
-                .with_sweeps(20)
-                .sample(&m, 6),
-            ParallelTempering::new(2).with_sweeps(20).sample(&m, 6),
-        );
-        assert_eq!(
-            PopulationAnnealing::new(1)
-                .with_seed(2)
-                .with_sweeps(20)
-                .sample(&m, 10),
-            PopulationAnnealing::new(2).with_sweeps(20).sample(&m, 10),
-        );
     }
 }

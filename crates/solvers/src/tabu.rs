@@ -30,13 +30,6 @@ impl TabuSearch {
         }
     }
 
-    /// Replaces the base seed (used by portfolio runners to diversify
-    /// otherwise-identical arms).
-    pub fn with_seed(mut self, seed: u64) -> TabuSearch {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the tabu tenure.
     ///
     /// Clamped to at least 1: a tenure of 0 would let the search flip the

@@ -14,17 +14,12 @@
 //!    multiple of 64 leave inactive lanes in the top bits. Those lanes
 //!    must never leak into results (1, 63, 64, 65 variables; 0, 1, and
 //!    odd read counts).
-//! 3. **Parallel-tempering sanity** — the deterministic swap schedule
-//!    must actually exchange temperatures (nonzero accepted swaps on a
-//!    frustrated model), must not depend on thread count, and must not
-//!    make the sampler *worse* than scalar SA at an equal sweep budget.
+//! 3. **Thread invariance** — neither packed sampler's distribution may
+//!    depend on its worker-thread count.
 
 use proptest::prelude::*;
 use qac_pbf::Ising;
-use qac_solvers::{
-    BitParallelSa, ExactSolver, ParallelTempering, PopulationAnnealing, SampleSet, Sampler,
-    SimulatedAnnealing,
-};
+use qac_solvers::{BitParallelSa, PopulationAnnealing, SampleSet, Sampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,9 +107,8 @@ fn partial_words_mask_inactive_lanes() {
     for n in [1usize, 63, 64, 65] {
         let model = chain(n);
         let ground = if n == 1 { -0.1 } else { chain_ground(n) };
-        let samplers: [(&str, Box<dyn Sampler>); 3] = [
+        let samplers: [(&str, Box<dyn Sampler>); 2] = [
             ("bp", Box::new(BitParallelSa::new(5).with_sweeps(80))),
-            ("pt", Box::new(ParallelTempering::new(5).with_sweeps(80))),
             ("pa", Box::new(PopulationAnnealing::new(5).with_sweeps(80))),
         ];
         for (name, sampler) in samplers {
@@ -154,9 +148,8 @@ fn partial_words_mask_inactive_lanes() {
 #[test]
 fn zero_reads_yield_empty_sets() {
     let model = chain(7);
-    let samplers: [Box<dyn Sampler>; 3] = [
+    let samplers: [Box<dyn Sampler>; 2] = [
         Box::new(BitParallelSa::new(3)),
-        Box::new(ParallelTempering::new(3)),
         Box::new(PopulationAnnealing::new(3)),
     ];
     for sampler in samplers {
@@ -167,8 +160,8 @@ fn zero_reads_yield_empty_sets() {
 }
 
 /// A fixed frustrated 12-variable spin glass: dense couplings of mixed
-/// sign so adjacent-temperature exchanges are genuinely useful (and the
-/// swap acceptance test cannot pass vacuously on a trivial landscape).
+/// sign, so thread invariance cannot pass vacuously on a landscape
+/// every lane solves the same way.
 fn frustrated_12() -> Ising {
     let mut rng = StdRng::seed_from_u64(0xf2a5);
     let n = 12;
@@ -185,79 +178,13 @@ fn frustrated_12() -> Ising {
 }
 
 #[test]
-fn pt_swaps_are_active_and_thread_invariant() {
-    let model = frustrated_12();
-    let pt = ParallelTempering::new(9).with_sweeps(64);
-    let (set_1, stats_1) = pt.clone().with_threads(1).sample_with_stats(&model, 64);
-    let (set_8, stats_8) = pt.with_threads(8).sample_with_stats(&model, 64);
-
-    assert_eq!(
-        encode(&set_1),
-        encode(&set_8),
-        "PT sample distribution depends on thread count"
-    );
-    assert_eq!(
-        stats_1, stats_8,
-        "PT swap statistics depend on thread count"
-    );
-    assert!(
-        stats_1.swap_attempts > 0,
-        "the swap schedule never fired on a 64-sweep run"
-    );
-    assert!(
-        stats_1.swap_accepts > 0,
-        "no swap was ever accepted on a frustrated model — the exchange \
-         criterion or the ladder is broken"
-    );
-    assert!(
-        stats_1.swap_accepts <= stats_1.swap_attempts,
-        "accepted more swaps than attempted"
-    );
-    assert!(stats_1.flips > 0, "a 64-sweep anneal accepted no flips");
-}
-
-#[test]
-fn pt_is_no_worse_than_scalar_sa_at_equal_sweeps() {
-    let model = frustrated_12();
-    let ground = ExactSolver::new().minimum_energy(&model);
-    let sweeps = 64;
-    let reads = 64;
-
-    let pt_set = ParallelTempering::new(9)
-        .with_sweeps(sweeps)
-        .sample(&model, reads);
-    let sa_set = SimulatedAnnealing::new(9)
-        .with_sweeps(sweeps)
-        .sample(&model, reads);
-
-    let pt_best = pt_set.best().expect("pt produced samples").energy;
-    assert!(
-        (pt_best - ground).abs() < 1e-6,
-        "PT missed the exact ground {ground} (best {pt_best})"
-    );
-    let pt_ground = pt_set.ground_fraction(1e-6);
-    let sa_ground = sa_set.ground_fraction(1e-6);
-    assert!(
-        pt_ground >= sa_ground,
-        "PT reached the ground on {:.0}% of reads but scalar SA managed \
-         {:.0}% at the same sweep budget",
-        pt_ground * 100.0,
-        sa_ground * 100.0
-    );
-}
-
-#[test]
 fn all_packed_samplers_are_thread_invariant() {
     let model = frustrated_12();
     type MakeSampler = Box<dyn Fn(usize) -> Box<dyn Sampler>>;
-    let cases: [(&str, MakeSampler); 3] = [
+    let cases: [(&str, MakeSampler); 2] = [
         (
             "bp",
             Box::new(|t| Box::new(BitParallelSa::new(21).with_sweeps(48).with_threads(t))),
-        ),
-        (
-            "pt",
-            Box::new(|t| Box::new(ParallelTempering::new(22).with_sweeps(48).with_threads(t))),
         ),
         (
             "pa",

@@ -11,7 +11,7 @@
 //!
 //! Every event carries a **trace id** — a job-scoped correlation key set
 //! with [`TraceScope`] and propagated explicitly across thread spawns
-//! (engine workers, portfolio arms, restart races). When a job fails,
+//! (engine workers, sampler threads, restart races). When a job fails,
 //! retries, or times out, [`FlightRecorder::dump_jsonl`] extracts that
 //! job's events from the ring as JSONL for post-mortem analysis, without
 //! re-running anything.
@@ -77,7 +77,7 @@ impl std::fmt::Display for TraceId {
 
 /// What happened. The set covers the events the ISSUE's post-mortems
 /// need: pipeline stage boundaries, embedding-cache traffic, restart-race
-/// and portfolio outcomes, sampler progress, and engine lifecycle.
+/// outcomes, sampler progress, and engine lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
     /// A pipeline stage started (`name` = stage name).
@@ -94,8 +94,6 @@ pub enum FlightKind {
     CacheMiss,
     /// The restart race picked a winner (`value` = winning try index).
     RestartWin,
-    /// A portfolio arm produced the best merged energy (`value` = arm).
-    ArmWin,
     /// A sampler passed a progress milestone (`value` = reads done).
     SamplerMilestone,
     /// A job was enqueued into the batch engine.
@@ -124,7 +122,6 @@ impl FlightKind {
             FlightKind::CacheHit => "cache_hit",
             FlightKind::CacheMiss => "cache_miss",
             FlightKind::RestartWin => "restart_win",
-            FlightKind::ArmWin => "arm_win",
             FlightKind::SamplerMilestone => "sampler_milestone",
             FlightKind::Enqueue => "enqueue",
             FlightKind::Dequeue => "dequeue",

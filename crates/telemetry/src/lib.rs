@@ -1,13 +1,14 @@
 //! Observability for the QAC pipeline.
 //!
 //! The compile and run pipelines answer "what executed" through the
-//! always-on `Trace` table in `qac-core`; this crate answers the deeper
+//! always-on [`Trace`] table of [`StageTrace`] records defined here and
+//! carried by `qac-core`; the rest of this crate answers the deeper
 //! questions — *where* did time go across nested
 //! sampler phases, how often do chains break, is the embedding cache
 //! paying off — without a debugger:
 //!
 //! * [`Recorder`] — hierarchical **spans** (compile → stage → sampler
-//!   sub-phase → portfolio arm) with parent/child IDs, recorded behind a
+//!   sub-phase) with parent/child IDs, recorded behind a
 //!   Mutex; disabled by default, one relaxed atomic load on the hot path;
 //! * [`Metrics`] — a registry of named **counters**, **gauges**, and
 //!   fixed-bucket **histograms** (cache hits/misses, route iterations,
@@ -60,6 +61,7 @@ pub mod metrics;
 pub mod quality;
 pub mod sketch;
 mod span;
+mod trace;
 
 pub use export::Snapshot;
 pub use flight::{
@@ -68,3 +70,4 @@ pub use flight::{
 pub use metrics::{Histogram, Metrics, DEFAULT_ENERGY_BUCKETS, FRACTION_BUCKETS};
 pub use sketch::QuantileSketch;
 pub use span::{global, Recorder, SpanGuard, SpanId, SpanRecord};
+pub use trace::{StageTrace, Trace};

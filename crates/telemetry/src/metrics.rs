@@ -3,7 +3,7 @@
 //!
 //! Metric names follow Prometheus conventions (`snake_case`, counters end
 //! in `_total`, units spelled out: `_us`, `_fraction`). A name may carry
-//! a label set in curly braces — `qac_portfolio_arm_wins_total{arm="2"}`
+//! a label set in curly braces — `qac_embed_heap_pops_total{topology="chimera"}`
 //! — which the Prometheus exporter passes through verbatim while emitting
 //! `# HELP` / `# TYPE` once per base name.
 
