@@ -1,7 +1,7 @@
 //! Edit-turnaround cost: cold recompile + re-embed vs the incremental
 //! path (spliced compile + seeded chain repair) for the same one-gate
 //! edit. The pair is the criterion-side view of the `experiments edit`
-//! table and the `qac_bench_incremental_speedup` gauge BENCH_pr9 pins.
+//! table and the `qac_bench_incremental_speedup` gauge `ci.sh` floors.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qac_bench::experiments::canonical_gate_edit;

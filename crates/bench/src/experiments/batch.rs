@@ -160,7 +160,7 @@ fn quality_table(results: &[JobResult]) {
 
 /// Runs `sec6_batch_jobs` on `workers` threads and reports the batch
 /// wall time alongside the results.
-pub fn run_sec6_batch(workers: usize) -> (Duration, Vec<JobResult>) {
+fn run_sec6_batch(workers: usize) -> (Duration, Vec<JobResult>) {
     let engine = BatchEngine::new(EngineOptions {
         workers,
         ..Default::default()

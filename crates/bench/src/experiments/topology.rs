@@ -31,6 +31,7 @@ struct Row {
 }
 
 fn embed_on(
+    workload: &str,
     topology: &dyn Topology,
     edges: &[(usize, usize)],
     num_vars: usize,
@@ -49,22 +50,32 @@ fn embed_on(
     );
 
     // Per-topology routing-work counters, same names and labels the
-    // simulator emits, so one metrics export covers both paths.
+    // simulator emits, so one metrics export covers both paths. The
+    // chain-size gauges are deterministic per seed too, so CI can budget
+    // them on the fabrics no golden chain fixture pins.
     let family = topology.family();
     stats.record_topology_counters(family);
+    let physical = embedding.num_physical_qubits();
+    let max_chain = embedding.max_chain_length();
+    let telemetry = qac_telemetry::global();
+    let label = format!("{{workload=\"{workload}\",topology=\"{family}\"}}");
+    telemetry.gauge_set(
+        &format!("qac_embed_physical_qubits{label}"),
+        physical as f64,
+    );
+    telemetry.gauge_set(&format!("qac_embed_max_chain{label}"), max_chain as f64);
 
-    let chains = embedding.chains();
-    let chained: Vec<&Vec<usize>> = chains.iter().filter(|c| !c.is_empty()).collect();
-    let mean_chain = if chained.is_empty() {
+    let chained = embedding.chains().iter().filter(|c| !c.is_empty()).count();
+    let mean_chain = if chained == 0 {
         0.0
     } else {
-        embedding.num_physical_qubits() as f64 / chained.len() as f64
+        physical as f64 / chained as f64
     };
     Row {
         topology: format!("{} {}", family, topology.coordinate_scheme()),
         qubits: topology.num_qubits(),
-        physical: embedding.num_physical_qubits(),
-        max_chain: embedding.max_chain_length(),
+        physical,
+        max_chain,
         mean_chain,
         embed_us,
         restarts: stats.restarts,
@@ -122,12 +133,18 @@ pub fn run_topology() {
             ..Default::default()
         };
         let mut rows = vec![
-            embed_on(&Chimera::dwave_2000q(), edges, *num_vars, &options),
-            embed_on(&Pegasus::new(6), edges, *num_vars, &options),
-            embed_on(&Zephyr::new(4), edges, *num_vars, &options),
+            embed_on(label, &Chimera::dwave_2000q(), edges, *num_vars, &options),
+            embed_on(label, &Pegasus::new(6), edges, *num_vars, &options),
+            embed_on(label, &Zephyr::new(4), edges, *num_vars, &options),
         ];
         if *on_king {
-            rows.push(embed_on(&KingGraph::new(48), edges, *num_vars, &options));
+            rows.push(embed_on(
+                label,
+                &KingGraph::new(48),
+                edges,
+                *num_vars,
+                &options,
+            ));
         }
         for r in &rows {
             println!(

@@ -10,7 +10,11 @@ use crate::VerilogError;
 /// [`VerilogError::Lex`] / [`VerilogError::Parse`] with the offending line.
 pub fn parse(source: &str) -> Result<Design, VerilogError> {
     let tokens = Lexer::tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut design = Design::default();
     while !parser.at_eof() {
         design.modules.push(parser.module()?);
@@ -18,12 +22,39 @@ pub fn parse(source: &str) -> Result<Design, VerilogError> {
     Ok(design)
 }
 
+/// How deeply statements, lvalues, expressions and unary operators may
+/// nest.
+/// Recursive descent spends stack per level, so without a bound a
+/// pathologically nested input overflows the stack and aborts the
+/// process instead of returning an error.
+const MAX_DEPTH: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
+    /// Runs `parse` one nesting level deeper, failing with a parse error
+    /// past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<T, VerilogError>,
+    ) -> Result<T, VerilogError> {
+        if self.depth == MAX_DEPTH {
+            return Err(VerilogError::parse(
+                self.line(),
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -403,6 +434,10 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn stmt(&mut self) -> Result<Stmt, VerilogError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, VerilogError> {
         if self.eat(&TokenKind::Semi) {
             return Ok(Stmt::Empty);
         }
@@ -490,6 +525,10 @@ impl Parser {
     }
 
     fn lvalue(&mut self) -> Result<LValue, VerilogError> {
+        self.nested(Self::lvalue_body)
+    }
+
+    fn lvalue_body(&mut self) -> Result<LValue, VerilogError> {
         if self.eat(&TokenKind::LBrace) {
             let mut parts = Vec::new();
             loop {
@@ -520,7 +559,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, VerilogError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, VerilogError> {
@@ -672,6 +711,10 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Expr, VerilogError> {
+        self.nested(Self::unary_body)
+    }
+
+    fn unary_body(&mut self) -> Result<Expr, VerilogError> {
         let op = if self.eat(&TokenKind::Tilde) {
             Some(UnaryOp::Not)
         } else if self.eat(&TokenKind::Bang) {

@@ -401,3 +401,48 @@ fn undeclared_signal_error() {
     let src = "module m (input a, output y); assign y = ghost; endmodule";
     assert!(compile(src, "m").is_err());
 }
+
+/// Compiles `assign <lhs> = <rhs>;` on a 2 MiB thread, a stack small
+/// enough to prove that nothing recurses unboundedly.
+fn compile_on_small_stack(
+    lhs: &str,
+    rhs: &str,
+) -> Result<qac_netlist::Netlist, qac_verilog::VerilogError> {
+    let src = format!("module m (input a, output y);\n  assign {lhs} = {rhs};\nendmodule\n");
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || compile(&src, "m"))
+        .unwrap()
+        .join()
+        .expect("the parser returns instead of overflowing the stack")
+}
+
+#[test]
+fn pathological_nesting_is_a_parse_error() {
+    let deep = 100_000;
+    let parens = format!("~{}a{}", "(".repeat(deep), ")".repeat(deep));
+    let tildes = format!("{}a", "~".repeat(deep));
+    let braces = format!("{}y{}", "{".repeat(deep), "}".repeat(deep));
+    for (lhs, rhs) in [("y", parens.as_str()), ("y", &tildes), (&braces, "a")] {
+        match compile_on_small_stack(lhs, rhs) {
+            Err(qac_verilog::VerilogError::Parse { line, message }) => {
+                assert_eq!(line, 2);
+                assert!(message.contains("nesting"), "{message}");
+            }
+            other => panic!("expected a nesting parse error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn nesting_just_under_the_limit_compiles() {
+    // Each parenthesis costs two levels (expression + operand) and each
+    // `~` one, out of 256: both inputs sit at the deepest legal level.
+    let parens = format!("~{}a{}", "(".repeat(126), ")".repeat(126));
+    let tildes = format!("{}a", "~".repeat(254));
+    for (rhs, y) in [(parens, 0), (tildes, 1)] {
+        let netlist = compile_on_small_stack("y", &rhs).unwrap();
+        let sim = CombSim::new(&netlist).unwrap();
+        assert_eq!(sim.eval_words(&[("a", 1)]).unwrap()["y"], y);
+    }
+}
