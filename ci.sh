@@ -37,6 +37,10 @@ cargo test -q
 echo "==> cargo test -q --workspace --release"
 cargo test -q --workspace --release
 
+# perfbench is a cargo workspace of its own, so the step above skips it.
+echo "==> perfbench tests (determinism + BENCHMARK.json metric table)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> differential suite (bp/pa/tabu vs exact enumeration)"
 cargo test --release -q -p qac-solvers --test differential
 

@@ -3,23 +3,26 @@
 //!
 //! Every compile records an [`IncrState`] on its [`Compiled`] result:
 //! deterministic FNV content keys for the source text, the input
-//! netlist, the option set, and the optimized netlist, plus the
-//! per-cell QMASM blocks the generator concatenated. A later
-//! [`compile_incremental`] call compares keys outer-to-inner and stops
-//! re-running stages at the first match:
+//! netlist, the option set, the unrolled and optimized netlists and the
+//! analyzer's input, plus the per-cell QMASM blocks the generator
+//! concatenated. [`compile_incremental`] handles the two outermost keys
+//! itself:
 //!
 //! * options changed → full rebuild (every stage key includes the
 //!   option set, so nothing is reusable);
-//! * source text identical → every stage replays its cached artifact;
-//! * optimized netlist identical (e.g. a comment or whitespace edit) →
-//!   the front end re-runs, the whole back end replays;
-//! * otherwise the EDIF round trip re-runs (it is behavioral, not an
-//!   identity), the post-EDIF netlists are diffed cell-by-cell, and QMASM
-//!   generation and assembly splice: artifacts derived from cells outside
-//!   the dirty cone are copied from the previous compile, only the cone
-//!   is regenerated. Spliced artifacts are byte-identical to a cold
-//!   compile by construction — the property tests in `qac-bench` enforce
-//!   exactly that.
+//! * source text identical → every stage replays its cached artifact.
+//!
+//! Anything else goes to the one compile driver (`drive` in
+//! `pipeline.rs`) with the previous compile, where each stage replays
+//! when its key matches: an optimized netlist that held still (e.g. a
+//! comment or whitespace edit) replays the whole back end; otherwise the
+//! EDIF round trip re-runs (it is behavioral, not an identity), the
+//! post-EDIF netlists are diffed cell-by-cell (`dirty_cells`), and
+//! QMASM generation and assembly splice: artifacts derived from cells
+//! outside the dirty cone are copied from the previous compile, only the
+//! cone is regenerated. Spliced artifacts are byte-identical to a cold
+//! compile by construction — the property tests in `qac-bench` enforce
+//! exactly that.
 //!
 //! Fallback rules: an incomparable diff (different cell count, renamed
 //! module, changed ports or constants) falls back to full stage re-runs;
@@ -33,19 +36,14 @@
 //! with a `cached` mark and zero duration, emit `stage_skip` flight
 //! events tagged with the current trace id, and bump
 //! `qac_incr_stage_hit_total`; re-run stages bump
-//! `qac_incr_stage_miss_total`.
+//! `qac_incr_stage_miss_total`. A cold compile bumps neither.
 
-use qac_analysis::AnalysisReport;
-use qac_gatesynth::CellLibrary;
 use qac_netlist::{CellId, Fnv, Netlist};
-use qac_qmasm::{assemble, assemble_incremental, AssembleOptions, Assembled, MapIncludes, Program};
+use qac_qmasm::{Assembled, Program};
+use qac_telemetry::Trace;
 
-use crate::pipeline::{
-    analysis_options_for, build_stats, expected_ground_energy_of, AnalyzeStage, EdifReadStage,
-    EdifWriteStage, OptimizeStage, QmasmGenStage, QmasmParseStage, UnrollStage, VerilogStage,
-};
-use crate::qmasm_gen::{netlist_to_qmasm_spliced, GenOutput};
-use crate::stage::{Session, Stage};
+use crate::pipeline::{compile_source, drive};
+use crate::stage::Session;
 use crate::{CompileError, CompileOptions, Compiled};
 
 /// Content keys and reuse units recorded on every [`Compiled`], consumed
@@ -214,35 +212,6 @@ pub(crate) fn analysis_key(assembled: &Assembled, program: &Program, expected: f
     h.finish()
 }
 
-const MISS_COUNTER: &str = "qac_incr_stage_miss_total";
-
-fn count_miss(n: u64) {
-    qac_telemetry::global().counter_add(MISS_COUNTER, n);
-}
-
-/// Runs a stage that could not be skipped, accounting the miss.
-fn run_miss<S: Stage>(
-    session: &mut Session,
-    report: &mut IncrementalReport,
-    stage: &S,
-    input: S::Input,
-) -> Result<S::Output, CompileError> {
-    count_miss(1);
-    report
-        .stages
-        .push((stage.name().to_string(), StageDisposition::Full));
-    session.run(stage, input)
-}
-
-/// Replays a skipped stage: cached-artifact bookkeeping only.
-fn skip_stage(session: &mut Session, report: &mut IncrementalReport, prev: &Compiled, name: &str) {
-    let size = prev.trace.get(name).map_or(0, |s| s.output_size);
-    session.skip_named(name, size);
-    report
-        .stages
-        .push((name.to_string(), StageDisposition::Skipped));
-}
-
 /// Recompiles `source` against the previous compile `prev`, re-running
 /// only the stages whose content keys moved. The returned [`Compiled`]
 /// is byte-identical (artifact-wise) to what a cold
@@ -260,26 +229,13 @@ pub fn compile_incremental(
 ) -> Result<(Compiled, IncrementalReport), CompileError> {
     let _span = qac_telemetry::global().span("compile");
     if options_key(options) != prev.incr.options_key {
-        return full_rebuild(|| crate::pipeline::compile(source, top, options));
+        return full_rebuild(crate::pipeline::compile(source, top, options));
     }
     let source_key = source_fingerprint(source, top);
     if prev.incr.source_key == Some(source_key) {
         return Ok(replay_all(prev, options, Some(source_key), None));
     }
-    let mut session = Session::new();
-    let mut report = IncrementalReport::default();
-    let netlist = run_miss(&mut session, &mut report, &VerilogStage { source, top }, ())?;
-    let verilog_lines = source.lines().filter(|l| !l.trim().is_empty()).count();
-    backend(
-        session,
-        report,
-        prev,
-        netlist,
-        verilog_lines,
-        options,
-        Some(source_key),
-        None,
-    )
+    compile_source(Some(prev), source, top, options, source_key)
 }
 
 /// [`compile_incremental`] for the netlist entry point: the front-end
@@ -294,16 +250,15 @@ pub fn compile_netlist_incremental(
 ) -> Result<(Compiled, IncrementalReport), CompileError> {
     let _span = qac_telemetry::global().span("compile");
     if options_key(options) != prev.incr.options_key {
-        return full_rebuild(|| crate::pipeline::compile_netlist(netlist, options));
+        return full_rebuild(crate::pipeline::compile_netlist(netlist, options));
     }
     let netlist_key = netlist.structural_hash();
     if prev.incr.netlist_key == Some(netlist_key) {
         return Ok(replay_all(prev, options, None, Some(netlist_key)));
     }
-    backend(
+    drive(
         Session::new(),
-        IncrementalReport::default(),
-        prev,
+        Some(prev),
         netlist,
         0,
         options,
@@ -312,24 +267,15 @@ pub fn compile_netlist_incremental(
     )
 }
 
-/// Nothing was reusable: run the cold pipeline and account every stage
-/// as a miss.
-fn full_rebuild<F>(compile: F) -> Result<(Compiled, IncrementalReport), CompileError>
-where
-    F: FnOnce() -> Result<Compiled, CompileError>,
-{
-    let compiled = compile()?;
-    count_miss(compiled.trace.stages().len() as u64);
+/// Nothing was reusable: a cold compile, every stage accounted a miss.
+fn full_rebuild(
+    compiled: Result<Compiled, CompileError>,
+) -> Result<(Compiled, IncrementalReport), CompileError> {
+    let compiled = compiled?;
     let report = IncrementalReport {
-        stages: compiled
-            .trace
-            .stages()
-            .iter()
-            .map(|s| (s.name.clone(), StageDisposition::Full))
-            .collect(),
-        changed_cells: Vec::new(),
-        dirty_cone: Vec::new(),
+        stages: dispositions(&compiled.trace, &[]),
         full_rebuild: true,
+        ..IncrementalReport::default()
     };
     Ok((compiled, report))
 }
@@ -342,12 +288,8 @@ fn replay_all(
     netlist_key: Option<u64>,
 ) -> (Compiled, IncrementalReport) {
     let mut session = Session::new();
-    let mut report = IncrementalReport::default();
     for stage in prev.trace.stages() {
         session.skip_named(&stage.name, stage.output_size);
-        report
-            .stages
-            .push((stage.name.clone(), StageDisposition::Skipped));
     }
     let mut out = prev.clone();
     out.trace = session.finish();
@@ -356,399 +298,67 @@ fn replay_all(
     out.options = options.clone();
     out.incr.source_key = source_key;
     out.incr.netlist_key = netlist_key;
+    let report = IncrementalReport {
+        stages: dispositions(&out.trace, &[]),
+        ..IncrementalReport::default()
+    };
     (out, report)
 }
 
-/// Everything after the front end: unroll + optimize always re-run (they
-/// are cheap and their input moved), then keys decide how much of the
-/// back end survives.
-#[allow(clippy::too_many_arguments)]
-fn backend(
-    mut session: Session,
-    mut report: IncrementalReport,
+/// Diffs the post-EDIF netlist against `prev`'s for a `qmasm-gen`
+/// splice, recording the changed cells and dirty cone on `report`.
+/// Returns the dirty-cone mask, or `None` (a full rebuild) when the diff
+/// is incomparable or `prev`'s blocks do not line up with the cells.
+pub(crate) fn dirty_cells(
     prev: &Compiled,
-    netlist: Netlist,
-    verilog_lines: usize,
-    options: &CompileOptions,
-    source_key: Option<u64>,
-    netlist_key: Option<u64>,
-) -> Result<(Compiled, IncrementalReport), CompileError> {
-    let netlist = run_miss(
-        &mut session,
-        &mut report,
-        &UnrollStage {
-            steps: options.unroll_steps,
-            initial: options.unroll_initial,
-        },
-        netlist,
-    )?;
-    let unrolled_key = netlist.structural_hash();
-    let source_netlist = options.certify.then(|| netlist.clone());
-    let netlist = run_miss(
-        &mut session,
-        &mut report,
-        &OptimizeStage {
-            opt_level: options.opt_level,
-        },
-        netlist,
-    )?;
-    let optimized_key = netlist.structural_hash();
-
-    if optimized_key == prev.incr.optimized_key {
-        // The edit vanished in the front end (comment, whitespace,
-        // refactor the optimizer erases): the whole back end replays.
-        for name in [
-            "edif-write",
-            "edif-read",
-            "qmasm-gen",
-            "qmasm-parse",
-            "assemble",
-            "analyze",
-        ] {
-            if prev.trace.get(name).is_some() {
-                skip_stage(&mut session, &mut report, prev, name);
-            }
-        }
-        // The certificate's source side is the *pre*-optimization
-        // netlist, so an optimizer-erased edit can still move the
-        // front-end obligations: the proof replays only when the
-        // unrolled netlist held still too, and re-runs otherwise
-        // (against the previous back-end artifacts, which this branch
-        // just proved current).
-        let certificate = match &source_netlist {
-            Some(source) => {
-                if unrolled_key == prev.incr.unrolled_key && prev.trace.get("certify").is_some() {
-                    skip_stage(&mut session, &mut report, prev, "certify");
-                    prev.certificate.clone()
-                } else {
-                    let library = CellLibrary::table5();
-                    Some(run_certify(
-                        &mut session,
-                        &mut report,
-                        source,
-                        &prev.netlist,
-                        &prev.program,
-                        &library,
-                        prev.certificate.as_ref(),
-                    )?)
-                }
-            }
-            None => None,
-        };
-        let mut stats = prev.stats.clone();
-        stats.verilog_lines = verilog_lines;
-        let compiled = Compiled {
-            netlist: prev.netlist.clone(),
-            edif: prev.edif.clone(),
-            qmasm: prev.qmasm.clone(),
-            stdcell: prev.stdcell.clone(),
-            assembled: prev.assembled.clone(),
-            expected_ground_energy: prev.expected_ground_energy,
-            analysis: prev.analysis.clone(),
-            program: prev.program.clone(),
-            certificate,
-            stats,
-            trace: session.finish(),
-            options: options.clone(),
-            incr: IncrState {
-                source_key,
-                netlist_key,
-                options_key: prev.incr.options_key,
-                unrolled_key,
-                optimized_key,
-                analysis_key: prev.incr.analysis_key,
-                cell_blocks: prev.incr.cell_blocks.clone(),
-            },
-        };
-        return Ok((compiled, report));
-    }
-
-    // The EDIF round trip is behavioral, not an identity: once the
-    // netlist moved it must re-run so the post-EDIF netlist (the one
-    // every later artifact derives from) is exactly what a cold compile
-    // would see.
-    let edif = run_miss(&mut session, &mut report, &EdifWriteStage, netlist)?;
-    let netlist = run_miss(
-        &mut session,
-        &mut report,
-        &EdifReadStage { edif: &edif },
-        (),
-    )?;
-
-    let diff = Netlist::diff(&prev.netlist, &netlist);
-    report.changed_cells = diff.changed_cells.clone();
-    let library = CellLibrary::table5();
-
-    // QMASM generation: splice per-cell blocks when the diff allows it,
-    // regenerating only the dirty cone's cells.
-    let (qmasm, stdcell, cell_blocks) =
-        if diff.spliceable() && prev.incr.cell_blocks.len() == netlist.cells().len() {
-            report.dirty_cone = netlist.dirty_cone(&diff.changed_cells);
-            let mut changed = vec![false; netlist.cells().len()];
-            for &id in &report.dirty_cone {
-                changed[id] = true;
-            }
-            let redone = report.dirty_cone.len();
-            let reused = netlist.cells().len() - redone;
-            count_miss(1);
-            report.stages.push((
-                "qmasm-gen".to_string(),
-                StageDisposition::Spliced { reused, redone },
-            ));
-            let (gen, stdcell) = session.run(
-                &QmasmSpliceStage {
-                    netlist: &netlist,
-                    prev_blocks: &prev.incr.cell_blocks,
-                    changed: &changed,
-                    stdcell: &prev.stdcell,
-                },
-                (),
-            )?;
-            (gen.text, stdcell, gen.cell_blocks)
-        } else {
-            report.full_rebuild = true;
-            let (gen, stdcell) = run_miss(
-                &mut session,
-                &mut report,
-                &QmasmGenStage {
-                    netlist: &netlist,
-                    library: &library,
-                },
-                (),
-            )?;
-            (gen.text, stdcell, gen.cell_blocks)
-        };
-
-    let program;
-    let assembled;
-    let analysis;
-    let expected;
-    let analysis_key_now;
-    if qmasm == prev.qmasm && stdcell == prev.stdcell {
-        // The textual artifact landed identical (e.g. an internal net
-        // rename dirtied cell hashes without reaching any symbol):
-        // everything downstream of the text replays.
-        skip_stage(&mut session, &mut report, prev, "qmasm-parse");
-        skip_stage(&mut session, &mut report, prev, "assemble");
-        program = prev.program.clone();
-        assembled = prev.assembled.clone();
-        expected = expected_ground_energy_of(&netlist, &library, &assembled)?;
-        analysis_key_now = analysis_key(&assembled, &program, expected);
-        analysis = if options.analysis.enabled {
-            skip_stage(&mut session, &mut report, prev, "analyze");
-            prev.analysis.clone()
-        } else {
-            AnalysisReport::empty()
-        };
-    } else {
-        let mut includes = MapIncludes::new();
-        includes.insert("stdcell.qmasm", stdcell.clone());
-        program = run_miss(
-            &mut session,
-            &mut report,
-            &QmasmParseStage {
-                qmasm: &qmasm,
-                includes: &includes,
-            },
-            (),
-        )?;
-        let assemble_options = AssembleOptions {
-            merge_chains: options.merge_chains,
-            chain_strength: options.chain_strength,
-            pin_weight: None,
-        };
-        // Assemble: splice per-statement when the program-level diff
-        // allows it, falling back to a full assembly inside the stage.
-        count_miss(1);
-        let (out, splice) = session.run(
-            &AssembleIncrStage {
-                prev: &prev.assembled,
-                prev_program: &prev.program,
-                program: &program,
-                options: assemble_options,
-            },
-            (),
-        )?;
-        assembled = out;
-        report.stages.push((
-            "assemble".to_string(),
-            match splice {
-                Some((reused, redone)) => StageDisposition::Spliced { reused, redone },
-                None => StageDisposition::Full,
-            },
-        ));
-        expected = expected_ground_energy_of(&netlist, &library, &assembled)?;
-        analysis_key_now = analysis_key(&assembled, &program, expected);
-        analysis = if options.analysis.enabled {
-            if analysis_key_now == prev.incr.analysis_key && prev.trace.get("analyze").is_some() {
-                // The analyzer's whole input (model, macro use-sites,
-                // expected energy) is content-identical — it replays
-                // even when the program text moved underneath.
-                skip_stage(&mut session, &mut report, prev, "analyze");
-                prev.analysis.clone()
-            } else {
-                let analysis_options = analysis_options_for(options, expected);
-                let analysis_report = run_miss(
-                    &mut session,
-                    &mut report,
-                    &AnalyzeStage {
-                        assembled: &assembled,
-                        program: &program,
-                        options: &analysis_options,
-                    },
-                    (),
-                )?;
-                if analysis_report.diagnostics.has_errors() {
-                    return Err(CompileError::Analysis(analysis_report.diagnostics.clone()));
-                }
-                analysis_report
-            }
-        } else {
-            AnalysisReport::empty()
-        };
-    }
-
-    // Certification always re-proves against the *current* netlists:
-    // even a byte-identical QMASM artifact can sit over renumbered nets,
-    // which move the cut fingerprints the certificate records. Proofs
-    // whose reuse keys held still are spliced from the previous
-    // certificate; only the dirty cone's obligations re-enumerate.
-    let certificate = match &source_netlist {
-        Some(source) => Some(run_certify(
-            &mut session,
-            &mut report,
-            source,
-            &netlist,
-            &program,
-            &library,
-            prev.certificate.as_ref(),
-        )?),
-        None => None,
-    };
-
-    let stats = build_stats(verilog_lines, &edif, &qmasm, &stdcell, &assembled, &netlist);
-    let compiled = Compiled {
-        netlist,
-        edif,
-        qmasm,
-        stdcell,
-        assembled,
-        expected_ground_energy: expected,
-        analysis,
-        program,
-        certificate,
-        stats,
-        trace: session.finish(),
-        options: options.clone(),
-        incr: IncrState {
-            source_key,
-            netlist_key,
-            options_key: prev.incr.options_key,
-            unrolled_key,
-            optimized_key,
-            analysis_key: analysis_key_now,
-            cell_blocks,
-        },
-    };
-    Ok((compiled, report))
-}
-
-/// Runs the `certify` stage for an incremental recompile, splicing
-/// obligations whose reuse keys (cone fingerprints, macro bodies) held
-/// still from the previous certificate and re-enumerating the rest.
-fn run_certify(
-    session: &mut Session,
+    netlist: &Netlist,
     report: &mut IncrementalReport,
-    source: &Netlist,
-    optimized: &Netlist,
-    program: &Program,
-    library: &CellLibrary,
-    prev_certificate: Option<&qac_cert::CompileCertificate>,
-) -> Result<qac_cert::CompileCertificate, CompileError> {
-    count_miss(1);
-    let out = session.run(
-        &crate::certify::CertifyStage {
-            source,
-            optimized,
-            program,
-            library,
-            prev: prev_certificate,
-        },
-        (),
-    )?;
-    let disposition = if out.reused > 0 {
-        StageDisposition::Spliced {
-            reused: out.reused,
-            redone: out.proved,
-        }
-    } else {
-        StageDisposition::Full
-    };
-    report.stages.push(("certify".to_string(), disposition));
-    Ok(out.certificate)
+) -> Option<Vec<bool>> {
+    let diff = Netlist::diff(&prev.netlist, netlist);
+    let spliceable = diff.spliceable();
+    report.changed_cells = diff.changed_cells;
+    if !spliceable || prev.incr.cell_blocks.len() != netlist.cells().len() {
+        report.full_rebuild = true;
+        return None;
+    }
+    report.dirty_cone = netlist.dirty_cone(&report.changed_cells);
+    let mut changed = vec![false; netlist.cells().len()];
+    for &id in &report.dirty_cone {
+        changed[id] = true;
+    }
+    Some(changed)
 }
 
-/// The spliced flavor of `qmasm-gen`: regenerates only `changed` cells'
-/// blocks, copying the rest from the previous compile.
-struct QmasmSpliceStage<'a> {
-    netlist: &'a Netlist,
-    prev_blocks: &'a [String],
-    changed: &'a [bool],
-    stdcell: &'a str,
-}
-
-impl Stage for QmasmSpliceStage<'_> {
-    type Input = ();
-    type Output = (GenOutput, String);
-    fn name(&self) -> &'static str {
-        "qmasm-gen"
+/// The disposition of every stage in `trace`: replayed stages were
+/// skipped, those named in `spliced` spliced, and the rest re-ran in
+/// full. Each re-run stage bumps `qac_incr_stage_miss_total`.
+pub(crate) fn dispositions(
+    trace: &Trace,
+    spliced: &[(&str, StageDisposition)],
+) -> Vec<(String, StageDisposition)> {
+    let stages: Vec<(String, StageDisposition)> = trace
+        .stages()
+        .iter()
+        .map(|stage| {
+            let disposition = if stage.skipped {
+                StageDisposition::Skipped
+            } else {
+                spliced
+                    .iter()
+                    .find(|(name, _)| *name == stage.name)
+                    .map_or(StageDisposition::Full, |&(_, d)| d)
+            };
+            (stage.name.clone(), disposition)
+        })
+        .collect();
+    let misses = stages
+        .iter()
+        .filter(|(_, d)| *d != StageDisposition::Skipped)
+        .count();
+    if misses > 0 {
+        qac_telemetry::global().counter_add("qac_incr_stage_miss_total", misses as u64);
     }
-    fn run(&self, (): ()) -> Result<(GenOutput, String), CompileError> {
-        Ok((
-            netlist_to_qmasm_spliced(self.netlist, self.prev_blocks, self.changed),
-            self.stdcell.to_string(),
-        ))
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.netlist.cells().len()
-    }
-    fn output_size(&self, (gen, stdcell): &(GenOutput, String)) -> usize {
-        gen.text.len() + stdcell.len()
-    }
-}
-
-/// The spliced flavor of `assemble`: tries
-/// [`qac_qmasm::assemble_incremental`] and falls back to a full assembly
-/// inside the same timed stage. The second tuple element carries the
-/// `(reused, redone)` statement counts when the splice succeeded.
-struct AssembleIncrStage<'a> {
-    prev: &'a Assembled,
-    prev_program: &'a Program,
-    program: &'a Program,
-    options: AssembleOptions,
-}
-
-impl Stage for AssembleIncrStage<'_> {
-    type Input = ();
-    type Output = (Assembled, Option<(usize, usize)>);
-    fn name(&self) -> &'static str {
-        "assemble"
-    }
-    fn run(&self, (): ()) -> Result<(Assembled, Option<(usize, usize)>), CompileError> {
-        match assemble_incremental(self.prev, self.prev_program, self.program, &self.options)? {
-            Some(splice) => Ok((
-                splice.assembled,
-                Some((splice.reused_statements, splice.redone_statements)),
-            )),
-            None => Ok((assemble(self.program, &self.options)?, None)),
-        }
-    }
-    fn input_size(&self, (): &()) -> usize {
-        self.program.statements.len()
-    }
-    fn output_size(&self, (assembled, _): &(Assembled, Option<(usize, usize)>)) -> usize {
-        assembled.ising.num_terms(1e-12)
-    }
+    stages
 }
 
 /// Variables whose coupling support changed between two assemblies —

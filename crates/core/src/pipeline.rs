@@ -4,9 +4,15 @@
 //!
 //! The pipeline is an explicit sequence of [`Stage`]s executed by a
 //! [`Session`]: each step — unroll, optimize, the EDIF round trip,
-//! QMASM generation, parsing, assembly — is a named stage whose wall
-//! time and artifact sizes are recorded into the [`Trace`] carried on
-//! [`Compiled`].
+//! QMASM generation, parsing, assembly, analysis, certification — is a
+//! named stage whose wall time and artifact sizes are recorded into the
+//! [`Trace`] carried on [`Compiled`].
+//!
+//! One driver, `drive`, runs that sequence for every compile. A cold
+//! compile passes no previous result and runs every stage; an
+//! incremental one ([`crate::compile_incremental`]) passes the previous
+//! [`Compiled`], and each stage replays, splices or re-runs depending on
+//! whether the previous result's content key for it matches.
 
 use qac_analysis::{analyze_assembled, AnalysisOptions, AnalysisReport, Diagnostics};
 use qac_cert::CompileCertificate;
@@ -15,11 +21,14 @@ use qac_edif::{from_edif, to_edif};
 use qac_gatesynth::CellLibrary;
 use qac_netlist::unroll::{unroll, InitialState};
 use qac_netlist::{opt, Netlist, NetlistStats};
-use qac_qmasm::{assemble, parse, stdcell_qmasm, AssembleOptions, Assembled, MapIncludes, Program};
+use qac_qmasm::{
+    assemble, assemble_incremental, parse, stdcell_qmasm, AssembleOptions, Assembled, MapIncludes,
+    Program,
+};
 use qac_telemetry::Trace;
 
-use crate::incr::IncrState;
-use crate::qmasm_gen::{netlist_to_qmasm_blocks, GenOutput};
+use crate::incr::{IncrState, IncrementalReport, StageDisposition};
+use crate::qmasm_gen::{generate, GenOutput};
 use crate::stage::{Session, Stage};
 use crate::CompileError;
 
@@ -260,10 +269,13 @@ impl Stage for EdifReadStage<'_> {
 }
 
 /// Netlist → QMASM program text + standard-cell library text (the
-/// `edif2qmasm` role).
+/// `edif2qmasm` role). With `reuse` (the previous compile's per-cell
+/// blocks and a changed-cell mask), only changed cells are regenerated
+/// and the rest are copied (DESIGN.md §14).
 pub(crate) struct QmasmGenStage<'a> {
     pub(crate) netlist: &'a Netlist,
     pub(crate) library: &'a CellLibrary,
+    pub(crate) reuse: Option<(&'a [String], &'a [bool])>,
 }
 
 impl Stage for QmasmGenStage<'_> {
@@ -274,7 +286,7 @@ impl Stage for QmasmGenStage<'_> {
     }
     fn run(&self, (): ()) -> Result<(GenOutput, String), CompileError> {
         Ok((
-            netlist_to_qmasm_blocks(self.netlist),
+            generate(self.netlist, self.reuse),
             stdcell_qmasm(self.library),
         ))
     }
@@ -309,25 +321,38 @@ impl Stage for QmasmParseStage<'_> {
     }
 }
 
-/// Parsed program → assembled logical Ising model.
+/// Parsed program → assembled logical Ising model. With `prev` (the
+/// previous assembly and its program) the stage first tries
+/// [`qac_qmasm::assemble_incremental`] and falls back to a full assembly;
+/// the second output element carries the `(reused, redone)` statement
+/// counts when the splice succeeded.
 pub(crate) struct AssembleStage<'a> {
     pub(crate) program: &'a Program,
     pub(crate) options: AssembleOptions,
+    pub(crate) prev: Option<(&'a Assembled, &'a Program)>,
 }
 
 impl Stage for AssembleStage<'_> {
     type Input = ();
-    type Output = Assembled;
+    type Output = (Assembled, Option<(usize, usize)>);
     fn name(&self) -> &'static str {
         "assemble"
     }
-    fn run(&self, (): ()) -> Result<Assembled, CompileError> {
-        Ok(assemble(self.program, &self.options)?)
+    fn run(&self, (): ()) -> Result<(Assembled, Option<(usize, usize)>), CompileError> {
+        if let Some((prev, prev_program)) = self.prev {
+            if let Some(splice) =
+                assemble_incremental(prev, prev_program, self.program, &self.options)?
+            {
+                let counts = (splice.reused_statements, splice.redone_statements);
+                return Ok((splice.assembled, Some(counts)));
+            }
+        }
+        Ok((assemble(self.program, &self.options)?, None))
     }
     fn input_size(&self, (): &()) -> usize {
         self.program.statements.len()
     }
-    fn output_size(&self, assembled: &Assembled) -> usize {
+    fn output_size(&self, (assembled, _): &(Assembled, Option<(usize, usize)>)) -> usize {
         assembled.ising.num_terms(1e-12)
     }
 }
@@ -362,7 +387,7 @@ impl Stage for AnalyzeStage<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Drivers
+// The driver
 // ---------------------------------------------------------------------
 
 /// Compiles Verilog source to a logical Ising program.
@@ -375,11 +400,8 @@ pub fn compile(
     options: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
     let _span = qac_telemetry::global().span("compile");
-    let mut session = Session::new();
-    let netlist = session.run(&VerilogStage { source, top }, ())?;
-    let verilog_lines = source.lines().filter(|l| !l.trim().is_empty()).count();
-    let source_key = Some(crate::incr::source_fingerprint(source, top));
-    compile_netlist_in_session(session, netlist, verilog_lines, options, source_key, None)
+    let source_key = crate::incr::source_fingerprint(source, top);
+    compile_source(None, source, top, options, source_key).map(|(compiled, _)| compiled)
 }
 
 /// Compiles an already-built netlist (skipping the Verilog frontend).
@@ -392,19 +414,52 @@ pub fn compile_netlist(
 ) -> Result<Compiled, CompileError> {
     let _span = qac_telemetry::global().span("compile");
     let netlist_key = Some(netlist.structural_hash());
-    compile_netlist_in_session(Session::new(), netlist, 0, options, None, netlist_key)
+    drive(Session::new(), None, netlist, 0, options, None, netlist_key)
+        .map(|(compiled, _)| compiled)
 }
 
-pub(crate) fn compile_netlist_in_session(
+/// The Verilog entry point of [`drive`]: parses `source`, then compiles
+/// the netlist it lowers to.
+pub(crate) fn compile_source(
+    prev: Option<&Compiled>,
+    source: &str,
+    top: &str,
+    options: &CompileOptions,
+    source_key: u64,
+) -> Result<(Compiled, IncrementalReport), CompileError> {
+    let mut session = Session::new();
+    let netlist = session.run(&VerilogStage { source, top }, ())?;
+    let verilog_lines = source.lines().filter(|l| !l.trim().is_empty()).count();
+    drive(
+        session,
+        prev,
+        netlist,
+        verilog_lines,
+        options,
+        Some(source_key),
+        None,
+    )
+}
+
+/// The one compile driver: unroll → optimize → EDIF round trip →
+/// qmasm-gen → qmasm-parse → assemble → analyze → certify.
+///
+/// Without `prev` every stage runs in full. With `prev` (a compile under
+/// the same options), a stage whose content key matches `prev`'s replays
+/// the cached artifact, a stage that can splice re-runs over the dirty
+/// cone only, and the rest re-run (DESIGN.md §14); the report says which.
+/// Either way the artifacts are the ones a cold compile produces.
+pub(crate) fn drive(
     mut session: Session,
+    prev: Option<&Compiled>,
     netlist: Netlist,
     verilog_lines: usize,
     options: &CompileOptions,
     source_key: Option<u64>,
     netlist_key: Option<u64>,
-) -> Result<Compiled, CompileError> {
+) -> Result<(Compiled, IncrementalReport), CompileError> {
     // Unroll sequential logic if requested (§4.3.3), then optimize (the
-    // ABC role).
+    // ABC role). Both always run: their input is what moved.
     let netlist = session.run(
         &UnrollStage {
             steps: options.unroll_steps,
@@ -413,8 +468,7 @@ pub(crate) fn compile_netlist_in_session(
         netlist,
     )?;
     // The certifier proves the optimizer (and the EDIF round trip)
-    // preserved this netlist, so it keeps the pre-optimization form; its
-    // content key lets the incremental driver reuse front-end proofs.
+    // preserved this netlist, so it keeps the pre-optimization form.
     let unrolled_key = netlist.structural_hash();
     let source_netlist = options.certify.then(|| netlist.clone());
     let netlist = session.run(
@@ -423,60 +477,127 @@ pub(crate) fn compile_netlist_in_session(
         },
         netlist,
     )?;
-
-    // Content key of the optimized netlist: the incremental driver uses
-    // it to detect that the whole back end can be replayed verbatim.
     let optimized_key = netlist.structural_hash();
 
-    // Round-trip through EDIF text, as the original pipeline does.
-    let edif = session.run(&EdifWriteStage, netlist)?;
-    let netlist = session.run(&EdifReadStage { edif: &edif }, ())?;
+    let mut report = IncrementalReport::default();
+    let mut spliced = Vec::new();
+    // The optimized netlist held still (a comment, whitespace, or a
+    // refactor the optimizer erases): the whole back end replays.
+    let back = prev.filter(|p| p.incr.optimized_key == optimized_key);
 
-    // EDIF → QMASM.
+    // Round-trip through EDIF text, as the original pipeline does. The
+    // round trip is behavioral, not an identity: once the netlist moved
+    // it re-runs, since every later artifact derives from its output.
+    let (edif, netlist) = match back {
+        Some(p) => {
+            replay(&mut session, p, "edif-write");
+            replay(&mut session, p, "edif-read");
+            (p.edif.clone(), p.netlist.clone())
+        }
+        None => {
+            let edif = session.run(&EdifWriteStage, netlist)?;
+            let netlist = session.run(&EdifReadStage { edif: &edif }, ())?;
+            (edif, netlist)
+        }
+    };
+
+    // EDIF → QMASM. Against `prev`, cells outside the dirty cone copy
+    // their blocks when the netlist diff allows a splice.
     let library = CellLibrary::table5();
-    let (gen, stdcell) = session.run(
-        &QmasmGenStage {
-            netlist: &netlist,
-            library: &library,
-        },
-        (),
-    )?;
+    let (gen, stdcell) = match back {
+        Some(p) => {
+            replay(&mut session, p, "qmasm-gen");
+            let gen = GenOutput {
+                text: p.qmasm.clone(),
+                cell_blocks: p.incr.cell_blocks.clone(),
+            };
+            (gen, p.stdcell.clone())
+        }
+        None => {
+            let changed = prev.and_then(|p| crate::incr::dirty_cells(p, &netlist, &mut report));
+            if let Some(changed) = &changed {
+                let redone = report.dirty_cone.len();
+                let reused = changed.len() - redone;
+                spliced.push(("qmasm-gen", StageDisposition::Spliced { reused, redone }));
+            }
+            let reuse = prev
+                .zip(changed.as_deref())
+                .map(|(p, changed)| (p.incr.cell_blocks.as_slice(), changed));
+            let stage = QmasmGenStage {
+                netlist: &netlist,
+                library: &library,
+                reuse,
+            };
+            session.run(&stage, ())?
+        }
+    };
     let GenOutput {
         text: qmasm,
         cell_blocks,
     } = gen;
-    let mut includes = MapIncludes::new();
-    includes.insert("stdcell.qmasm", stdcell.clone());
 
-    // QMASM → logical Ising.
-    let program = session.run(
-        &QmasmParseStage {
-            qmasm: &qmasm,
-            includes: &includes,
-        },
-        (),
-    )?;
-    let assemble_options = AssembleOptions {
-        merge_chains: options.merge_chains,
-        chain_strength: options.chain_strength,
-        pin_weight: None,
+    // QMASM → logical Ising. Text that landed identical to `prev`'s
+    // (e.g. an internal net rename dirtied cell hashes without reaching
+    // any symbol) replays; otherwise assembly splices per statement when
+    // the program-level diff allows it.
+    let same_text = back.or_else(|| prev.filter(|p| qmasm == p.qmasm && stdcell == p.stdcell));
+    let (program, assembled) = match same_text {
+        Some(p) => {
+            replay(&mut session, p, "qmasm-parse");
+            replay(&mut session, p, "assemble");
+            (p.program.clone(), p.assembled.clone())
+        }
+        None => {
+            let mut includes = MapIncludes::new();
+            includes.insert("stdcell.qmasm", stdcell.clone());
+            let program = session.run(
+                &QmasmParseStage {
+                    qmasm: &qmasm,
+                    includes: &includes,
+                },
+                (),
+            )?;
+            let stage = AssembleStage {
+                program: &program,
+                options: AssembleOptions {
+                    merge_chains: options.merge_chains,
+                    chain_strength: options.chain_strength,
+                    pin_weight: None,
+                },
+                prev: prev.map(|p| (&p.assembled, &p.program)),
+            };
+            let (assembled, splice) = session.run(&stage, ())?;
+            if let Some((reused, redone)) = splice {
+                spliced.push(("assemble", StageDisposition::Spliced { reused, redone }));
+            }
+            (program, assembled)
+        }
     };
-    let assembled = session.run(
-        &AssembleStage {
-            program: &program,
-            options: assemble_options,
-        },
-        (),
-    )?;
 
     let expected = expected_ground_energy_of(&netlist, &library, &assembled)?;
+    let analysis_key = match back {
+        Some(p) => p.incr.analysis_key,
+        None => crate::incr::analysis_key(&assembled, &program, expected),
+    };
 
     // Static analysis over the assembled model. The expected ground
     // energy just derived feeds the roof-duality and exact-audit passes;
     // the unmerged chain strength feeds the sufficiency bound when the
-    // caller did not pick one explicitly.
-    let analysis = if options.analysis.enabled {
-        let analysis_options = analysis_options_for(options, expected);
+    // caller did not pick one explicitly. The analyzer is global, so it
+    // replays only when its whole input is content-identical to `prev`'s.
+    let analysis = if !options.analysis.enabled {
+        AnalysisReport::empty()
+    } else if let Some(p) = prev.filter(|p| p.incr.analysis_key == analysis_key) {
+        replay(&mut session, p, "analyze");
+        p.analysis.clone()
+    } else {
+        let mut analysis_options = options.analysis.clone();
+        if analysis_options.expected_ground_energy.is_none() {
+            analysis_options.expected_ground_energy = Some(expected);
+        }
+        if analysis_options.chain_strength.is_none() {
+            analysis_options.chain_strength = options.chain_strength;
+        }
         let report = session.run(
             &AnalyzeStage {
                 assembled: &assembled,
@@ -489,45 +610,64 @@ pub(crate) fn compile_netlist_in_session(
             return Err(CompileError::Analysis(report.diagnostics.clone()));
         }
         report
-    } else {
-        AnalysisReport::empty()
     };
 
     // Translation validation: prove the front end preserved every
     // output's Boolean function and the macro library every gate's
     // ground space; a failed proof rejects the compile like an analyzer
-    // error.
-    let certificate = match &source_netlist {
-        Some(source) => Some(
-            session
-                .run(
-                    &crate::certify::CertifyStage {
-                        source,
-                        optimized: &netlist,
-                        program: &program,
-                        library: &library,
-                        prev: None,
-                    },
-                    (),
-                )?
-                .certificate,
-        ),
-        None => None,
+    // error. The proof replays only when the back end did and the
+    // pre-optimization netlist held still too (an optimizer-erased edit
+    // still moves source-side cut functions). Otherwise it re-proves
+    // against the current netlists, splicing obligations whose reuse
+    // keys held still from `prev`'s certificate.
+    let replay_proof =
+        back.filter(|p| p.incr.unrolled_key == unrolled_key && p.certificate.is_some());
+    let certificate = match (&source_netlist, replay_proof) {
+        (None, _) => None,
+        (Some(_), Some(p)) => {
+            replay(&mut session, p, "certify");
+            p.certificate.clone()
+        }
+        (Some(source), None) => {
+            let stage = crate::certify::CertifyStage {
+                source,
+                optimized: &netlist,
+                program: &program,
+                library: &library,
+                prev: prev.and_then(|p| p.certificate.as_ref()),
+            };
+            let out = session.run(&stage, ())?;
+            if out.reused > 0 {
+                let (reused, redone) = (out.reused, out.proved);
+                spliced.push(("certify", StageDisposition::Spliced { reused, redone }));
+            }
+            Some(out.certificate)
+        }
     };
 
-    let stats = build_stats(verilog_lines, &edif, &qmasm, &stdcell, &assembled, &netlist);
-
+    let trace = session.finish();
+    if prev.is_some() {
+        report.stages = crate::incr::dispositions(&trace, &spliced);
+    }
+    let stats = PipelineStats {
+        verilog_lines,
+        edif_lines: edif.lines().count(),
+        qmasm_lines: qmasm.lines().count(),
+        stdcell_lines: stdcell.lines().count(),
+        logical_variables: assembled.ising.num_vars(),
+        logical_terms: assembled.ising.num_terms(1e-12),
+        netlist: NetlistStats::of(&netlist),
+    };
     let incr = IncrState {
         source_key,
         netlist_key,
-        options_key: crate::incr::options_key(options),
+        options_key: prev.map_or_else(|| crate::incr::options_key(options), |p| p.incr.options_key),
         unrolled_key,
         optimized_key,
-        analysis_key: crate::incr::analysis_key(&assembled, &program, expected),
+        analysis_key,
         cell_blocks,
     };
-
-    Ok(Compiled {
+    let compiled = Compiled {
         netlist,
         edif,
         qmasm,
@@ -538,10 +678,16 @@ pub(crate) fn compile_netlist_in_session(
         program,
         certificate,
         stats,
-        trace: session.finish(),
+        trace,
         options: options.clone(),
         incr,
-    })
+    };
+    Ok((compiled, report))
+}
+
+/// Replays `prev`'s artifact for stage `name` instead of re-running it.
+fn replay(session: &mut Session, prev: &Compiled, name: &str) {
+    session.skip_named(name, prev.trace.get(name).map_or(0, |s| s.output_size));
 }
 
 /// Expected ground energy: Σ instantiated-cell ground energies, plus −1
@@ -549,7 +695,7 @@ pub(crate) fn compile_netlist_in_session(
 /// merging disabled, every emitted chain coupling `J = −strength` reaches
 /// −strength when the chain is satisfied, so valid executions sit that
 /// much lower.
-pub(crate) fn expected_ground_energy_of(
+fn expected_ground_energy_of(
     netlist: &Netlist,
     library: &CellLibrary,
     assembled: &Assembled,
@@ -564,41 +710,6 @@ pub(crate) fn expected_ground_energy_of(
     expected -= netlist.constants().len() as f64;
     expected -= assembled.num_chain_couplings as f64 * assembled.chain_strength;
     Ok(expected)
-}
-
-/// The analyzer options actually passed to the `analyze` stage: the
-/// derived expected ground energy feeds the roof-duality and exact-audit
-/// passes, and the unmerged chain strength feeds the sufficiency bound
-/// when the caller did not pick one explicitly.
-pub(crate) fn analysis_options_for(options: &CompileOptions, expected: f64) -> AnalysisOptions {
-    let mut analysis_options = options.analysis.clone();
-    if analysis_options.expected_ground_energy.is_none() {
-        analysis_options.expected_ground_energy = Some(expected);
-    }
-    if analysis_options.chain_strength.is_none() {
-        analysis_options.chain_strength = options.chain_strength;
-    }
-    analysis_options
-}
-
-/// The §6.1 static size measurements over the final artifacts.
-pub(crate) fn build_stats(
-    verilog_lines: usize,
-    edif: &str,
-    qmasm: &str,
-    stdcell: &str,
-    assembled: &Assembled,
-    netlist: &Netlist,
-) -> PipelineStats {
-    PipelineStats {
-        verilog_lines,
-        edif_lines: edif.lines().count(),
-        qmasm_lines: qmasm.lines().count(),
-        stdcell_lines: stdcell.lines().count(),
-        logical_variables: assembled.ising.num_vars(),
-        logical_terms: assembled.ising.num_terms(1e-12),
-        netlist: NetlistStats::of(netlist),
-    }
 }
 
 #[cfg(test)]
@@ -748,6 +859,46 @@ mod tests {
                 a.wrapping_sub(b) & 0b11
             };
             assert_eq!(c, expect, "s={s} a={a} b={b}");
+        }
+    }
+
+    #[test]
+    fn port_aliases_compile_certify_and_keep_their_truth_table() {
+        // Each program wires an output straight to input bits, so one
+        // EDIF net joins two module ports; the reader must keep the
+        // input as the net's driver and buffer the output from it.
+        // (source, truth table as sorted (a, y) rows)
+        let identity = vec![(0, 0), (1, 1)];
+        let cases = [
+            (
+                "module m(input a, output y); assign y = a; endmodule",
+                identity.clone(),
+            ),
+            (
+                "module m(input a, output y); assign y = a & 1'b1; endmodule",
+                identity,
+            ),
+            (
+                "module m(input [1:0] a, output [1:0] y); assign y = {a[0], a[1]}; endmodule",
+                vec![(0, 0), (1, 2), (2, 1), (3, 3)],
+            ),
+        ];
+        for (source, table) in cases {
+            let compiled = compile(source, "m", &CompileOptions::default())
+                .unwrap_or_else(|e| panic!("{source}: {e}"));
+            let cert = compiled.certificate.as_ref().expect("certificate");
+            let issues = qac_cert::verify_certificate(cert);
+            assert!(issues.iter().all(|i| !i.kind.is_error()), "{issues:?}");
+            let (_, minima) = ExactSolver::new().ground_states(&compiled.assembled.ising, 1e-6);
+            let mut rows: Vec<(u64, u64)> = minima
+                .iter()
+                .map(|spins| {
+                    let sol = compiled.assembled.interpret(spins);
+                    (sol.get("a").unwrap(), sol.get("y").unwrap())
+                })
+                .collect();
+            rows.sort_unstable();
+            assert_eq!(rows, table, "{source}");
         }
     }
 

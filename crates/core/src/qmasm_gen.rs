@@ -34,27 +34,14 @@ pub fn netlist_to_qmasm(netlist: &Netlist) -> String {
     generate(netlist, None).text
 }
 
-/// Full generation with block capture (the cold path that also feeds the
-/// incremental artifact store).
-pub(crate) fn netlist_to_qmasm_blocks(netlist: &Netlist) -> GenOutput {
-    generate(netlist, None)
-}
-
-/// Regenerates only the blocks of `changed` cells, copying the rest from
-/// `prev_blocks`. Sound when the module interface (ports, constants) is
-/// unchanged and every clean cell's structural hash matched — each reused
-/// block is then exactly what a cold generation would produce, because a
-/// cell's block depends only on its own pins and the port names of the
-/// nets it touches, all covered by the hash.
-pub(crate) fn netlist_to_qmasm_spliced(
-    netlist: &Netlist,
-    prev_blocks: &[String],
-    changed: &[bool],
-) -> GenOutput {
-    generate(netlist, Some((prev_blocks, changed)))
-}
-
-fn generate(netlist: &Netlist, reuse: Option<(&[String], &[bool])>) -> GenOutput {
+/// Generates the program text and its per-cell blocks. With `reuse`
+/// (the previous compile's blocks and a changed-cell mask), unchanged
+/// cells copy their block instead of regenerating it. That is sound when
+/// the module interface (ports, constants) is unchanged and every clean
+/// cell's structural hash matched: a cell's block depends only on its own
+/// pins and the port names of the nets it touches, all covered by the
+/// hash, so each reused block is exactly what a cold generation emits.
+pub(crate) fn generate(netlist: &Netlist, reuse: Option<(&[String], &[bool])>) -> GenOutput {
     let mut out = String::new();
     out.push_str(&format!(
         "# QMASM program generated from module `{}`\n",
@@ -263,12 +250,12 @@ mod tests {
         let y = b.and(x, c);
         b.output("y", &[y]);
         let old = b.finish();
-        let cold_old = netlist_to_qmasm_blocks(&old);
+        let cold_old = generate(&old, None);
         let mut new = old.clone();
         new.set_cell_kind(1, qac_netlist::CellKind::Or);
-        let cold_new = netlist_to_qmasm_blocks(&new);
+        let cold_new = generate(&new, None);
         let changed = vec![false, true];
-        let spliced = netlist_to_qmasm_spliced(&new, &cold_old.cell_blocks, &changed);
+        let spliced = generate(&new, Some((&cold_old.cell_blocks, &changed)));
         assert_eq!(spliced.text, cold_new.text);
         assert_eq!(spliced.cell_blocks, cold_new.cell_blocks);
     }

@@ -3,10 +3,11 @@
 //! A [`Stage`] is one named transformation of a pipeline artifact; a
 //! [`Session`] executes stages in sequence and records a
 //! [`StageTrace`](crate::StageTrace) for each — wall time, artifact
-//! sizes, retries — into a [`Trace`](crate::Trace). The drivers in
-//! `pipeline.rs` and `run.rs` are plain sequences of `session.run(...)`
-//! calls, so what executed (and what it cost) is always observable on
-//! the result.
+//! sizes, retries — into a [`Trace`](crate::Trace). The compile driver
+//! (`pipeline.rs`) and the run driver (`run.rs`) are plain sequences of
+//! `session.run(...)` calls, so what executed (and what it cost) is always
+//! observable on the result. A stage an incremental compile replays is
+//! recorded with [`Session::skip_named`] instead.
 
 use std::time::Instant;
 
@@ -120,11 +121,6 @@ impl Session {
     /// instead of re-running the stage (DESIGN.md §14). Emits a
     /// `stage_skip` flight event (tagged with the current trace id, if
     /// any) and bumps `qac_incr_stage_hit_total`.
-    pub fn skip<S: Stage>(&mut self, stage: &S, output_size: usize) {
-        self.skip_named(stage.name(), output_size);
-    }
-
-    /// [`Session::skip`] for callers that only have the stage name.
     pub fn skip_named(&mut self, name: &str, output_size: usize) {
         qac_telemetry::global_flight().record(FlightKind::StageSkip, name, output_size as f64);
         qac_telemetry::global().counter_add("qac_incr_stage_hit_total", 1);

@@ -5,7 +5,10 @@
 
 use proptest::prelude::*;
 
-use qac_core::{compile, netlist_to_qmasm, CompileError, CompileOptions, PipelineStats};
+use qac_core::{
+    artifact_mismatch, compile, compile_incremental, netlist_to_qmasm, CompileError,
+    CompileOptions, PipelineStats,
+};
 use qac_edif::{from_edif, to_edif};
 use qac_gatesynth::CellLibrary;
 use qac_netlist::unroll::unroll;
@@ -194,6 +197,7 @@ proptest! {
 
     #[test]
     fn stage_graph_matches_the_straight_line_path(options in options_strategy()) {
+        let mut compiled = Vec::new();
         for &(source, top) in CORPUS {
             let staged = compile(source, top, &options).unwrap();
             let reference = reference_compile(source, top, &options).unwrap();
@@ -221,6 +225,15 @@ proptest! {
                 .iter()
                 .filter(|s| s.name != "analyze")
                 .all(|s| s.output_size > 0));
+            compiled.push(staged);
+        }
+        // A cold compile is the driver with no previous result; a warm
+        // one against an unrelated program (the previous CORPUS entry)
+        // can reuse nothing, and must land on the same artifacts.
+        for (i, &(source, top)) in CORPUS.iter().enumerate() {
+            let unrelated = &compiled[(i + CORPUS.len() - 1) % CORPUS.len()];
+            let (warm, _) = compile_incremental(unrelated, source, top, &options).unwrap();
+            prop_assert_eq!(artifact_mismatch(&warm, &compiled[i]), None, "{}", top);
         }
     }
 }

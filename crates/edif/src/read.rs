@@ -220,8 +220,12 @@ pub fn from_edif(text: &str) -> Result<Netlist, EdifError> {
         let refs: Result<Vec<PortRef>, EdifError> =
             joined.children("portRef").map(parse_port_ref).collect();
         let refs = refs?;
-        // Prefer a module-port endpoint's pre-allocated net id.
+        // Prefer a module-port endpoint's pre-allocated net id. When
+        // several port bits share the net, a module input is its driver
+        // and must be the id (the other bits are buffered from it below);
+        // otherwise the last port bit is kept.
         let mut net_id: Option<NetId> = None;
+        let mut input_bit: Option<NetId> = None;
         for r in &refs {
             if r.instance.is_none() {
                 let idx = *port_index
@@ -232,18 +236,13 @@ pub fn from_edif(text: &str) -> Result<Netlist, EdifError> {
                     .bits
                     .get(bit)
                     .ok_or_else(|| structure(format!("bit {bit} out of range for `{}`", r.port)))?;
-                net_id = Some(match net_id {
-                    None => candidate,
-                    Some(existing) if existing == candidate => existing,
-                    Some(_existing) => {
-                        // Two module-port bits on one net: keep the first
-                        // and alias the second through a buffer below.
-                        candidate
-                    }
-                });
+                if ports[idx].is_input {
+                    input_bit = input_bit.or(Some(candidate));
+                }
+                net_id = Some(candidate);
             }
         }
-        let id = net_id.unwrap_or_else(|| netlist.add_net());
+        let id = input_bit.or(net_id).unwrap_or_else(|| netlist.add_net());
         // Record the net's name.
         if let Some(items) = net.as_list() {
             if let Ok((_, orig)) = resolve_name(&items[1]) {
@@ -399,6 +398,21 @@ mod tests {
         b.output("y", &[buffered]);
         let back = round_trip(&b.finish());
         assert!(back.port("weird$name").is_some());
+    }
+
+    #[test]
+    fn port_alias_is_buffered_from_the_input() {
+        // `assign y = a;`: one EDIF net joins both ports. The input must
+        // stay the net's driver, with the output buffered from it.
+        let mut b = Builder::new("alias");
+        let a = b.input("a", 1);
+        b.output("y", &a);
+        let back = round_trip(&b.finish());
+        let a = back.port("a").unwrap().bits[0];
+        let y = back.port("y").unwrap().bits[0];
+        assert_eq!(back.cells().len(), 1);
+        assert_eq!(back.cells()[0].kind, CellKind::Buf);
+        assert_eq!((back.cells()[0].inputs[0], back.cells()[0].output), (a, y));
     }
 
     #[test]

@@ -7,11 +7,16 @@ pub enum NetlistError {
     MultipleDrivers {
         /// The multiply-driven net.
         net: usize,
+        /// Its source name (a port bit such as `y[0]`, else its net
+        /// name), if it has one.
+        name: Option<String>,
     },
     /// A net is read but never driven (and is not a module input).
     Undriven {
         /// The floating net.
         net: usize,
+        /// Its source name, as for [`NetlistError::MultipleDrivers`].
+        name: Option<String>,
     },
     /// The combinational logic contains a cycle (no flip-flop on the loop).
     CombinationalCycle,
@@ -40,10 +45,12 @@ pub enum NetlistError {
 impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetlistError::MultipleDrivers { net } => {
-                write!(f, "net {net} has multiple drivers")
+            NetlistError::MultipleDrivers { net, name } => {
+                write!(f, "{} has multiple drivers", net_label(*net, name))
             }
-            NetlistError::Undriven { net } => write!(f, "net {net} is read but never driven"),
+            NetlistError::Undriven { net, name } => {
+                write!(f, "{} is read but never driven", net_label(*net, name))
+            }
             NetlistError::CombinationalCycle => {
                 write!(
                     f,
@@ -67,3 +74,11 @@ impl fmt::Display for NetlistError {
 }
 
 impl std::error::Error for NetlistError {}
+
+/// "net `a` (#0)" for a named net, "net 0" for an anonymous one.
+fn net_label(net: usize, name: &Option<String>) -> String {
+    match name {
+        Some(name) => format!("net `{name}` (#{net})"),
+        None => format!("net {net}"),
+    }
+}

@@ -246,7 +246,8 @@ impl Netlist {
         let drivers = self.drivers();
         for (net, d) in drivers.iter().enumerate() {
             if *d == Driver::Conflict {
-                return Err(NetlistError::MultipleDrivers { net });
+                let name = self.source_name(net);
+                return Err(NetlistError::MultipleDrivers { net, name });
             }
         }
         // Every read net must be driven.
@@ -263,10 +264,28 @@ impl Netlist {
         }
         for net in 0..self.num_nets {
             if read[net] && drivers[net] == Driver::None {
-                return Err(NetlistError::Undriven { net });
+                let name = self.source_name(net);
+                return Err(NetlistError::Undriven { net, name });
             }
         }
         self.topo_order().map(|_| ())
+    }
+
+    /// The name an error should give `net`: the first port bit on it
+    /// (`a`, or `y[0]` for a bus), else its net name.
+    fn source_name(&self, net: NetId) -> Option<String> {
+        self.inputs
+            .iter()
+            .chain(&self.outputs)
+            .find_map(|port| {
+                let idx = port.bits.iter().position(|&bit| bit == net)?;
+                Some(if port.width() == 1 {
+                    port.name.clone()
+                } else {
+                    format!("{}[{idx}]", port.name)
+                })
+            })
+            .or_else(|| self.net_name(net).map(str::to_string))
     }
 
     /// Topologically sorts the cells so that every combinational cell
@@ -377,10 +396,15 @@ mod tests {
         let b = n.input_ports()[1].bits[0];
         let y = n.output_ports()[0].bits[0];
         n.add_cell(CellKind::Or, vec![a, b], y); // second driver on y
-        assert!(matches!(
-            n.validate(),
-            Err(NetlistError::MultipleDrivers { .. })
-        ));
+        let err = n.validate().unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::MultipleDrivers {
+                net: y,
+                name: Some("y".into())
+            }
+        );
+        assert_eq!(err.to_string(), "net `y` (#2) has multiple drivers");
     }
 
     #[test]
@@ -390,7 +414,26 @@ mod tests {
         let y = n.add_net();
         n.add_cell(CellKind::Not, vec![x], y);
         n.add_output_port("y", vec![y]);
-        assert!(matches!(n.validate(), Err(NetlistError::Undriven { .. })));
+        let err = n.validate().unwrap_err();
+        assert_eq!(err, NetlistError::Undriven { net: x, name: None });
+        assert_eq!(err.to_string(), "net 0 is read but never driven");
+        // A bus bit is named by its index, an internal net by its name.
+        n.add_output_port("bus", vec![y, x]);
+        let err = n.validate().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "net `bus[1]` (#0) is read but never driven"
+        );
+        let mut n = Netlist::new("named");
+        let x = n.add_net();
+        let y = n.add_net();
+        n.set_net_name(x, "floating");
+        n.add_cell(CellKind::Not, vec![x], y);
+        n.add_output_port("y", vec![y]);
+        assert_eq!(
+            n.validate().unwrap_err().to_string(),
+            "net `floating` (#0) is read but never driven"
+        );
     }
 
     #[test]
