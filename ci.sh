@@ -197,6 +197,14 @@ done
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# A doc link left pointing at a deleted or private item fails here. The
+# offline vendor/ stand-ins are excluded: their docs are not ours (the
+# proptest stand-in has an ambiguous `vec` link).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
+    --exclude criterion --exclude crossbeam --exclude parking_lot --exclude proptest \
+    --exclude rand --exclude serde --exclude serde_derive
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qac_bench::{compile_workload, AUSTRALIA};
 use qac_chimera::{
-    embedding_key, find_embedding_with_stats, Chimera, EmbedOptions, EmbeddingCache,
+    find_embedding_with_stats, topology_embedding_key, Chimera, EmbedOptions, EmbeddingCache,
 };
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
 
@@ -27,7 +27,7 @@ fn bench_embed_cache(c: &mut Criterion) {
 
     let cache = EmbeddingCache::new();
     cache
-        .get_or_embed(&edges, num_vars, &options, &hardware, || {
+        .get_or_embed(&chimera, &edges, num_vars, &options, &hardware, || {
             find_embedding_with_stats(&edges, num_vars, &hardware, &options)
         })
         .expect("embeds");
@@ -35,7 +35,7 @@ fn bench_embed_cache(c: &mut Criterion) {
         b.iter(|| {
             std::hint::black_box(
                 cache
-                    .get_or_embed(&edges, num_vars, &options, &hardware, || {
+                    .get_or_embed(&chimera, &edges, num_vars, &options, &hardware, || {
                         unreachable!("warm lookup must hit")
                     })
                     .expect("hits"),
@@ -43,8 +43,12 @@ fn bench_embed_cache(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("embedding_key_australia", |b| {
-        b.iter(|| std::hint::black_box(embedding_key(&edges, num_vars, &options, &hardware)))
+    c.bench_function("topology_embedding_key_australia", |b| {
+        b.iter(|| {
+            std::hint::black_box(topology_embedding_key(
+                &chimera, &edges, num_vars, &options, &hardware,
+            ))
+        })
     });
 }
 

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qac_bench::{compile_workload, AUSTRALIA};
-use qac_chimera::{embed_ising, find_embedding_or_clique, Chimera, EmbedOptions};
+use qac_chimera::{embed_ising, find_embedding_or_clique_with_stats, Chimera, EmbedOptions};
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
 
 fn bench_embedding(c: &mut Criterion) {
@@ -22,13 +22,15 @@ fn bench_embedding(c: &mut Criterion) {
                 ..Default::default()
             };
             std::hint::black_box(
-                find_embedding_or_clique(&edges, num_vars, &chimera, &hardware, &options)
-                    .expect("embeds"),
+                find_embedding_or_clique_with_stats(
+                    &edges, num_vars, &chimera, &hardware, &options,
+                )
+                .expect("embeds"),
             )
         })
     });
 
-    let embedding = find_embedding_or_clique(
+    let (embedding, _) = find_embedding_or_clique_with_stats(
         &edges,
         num_vars,
         &chimera,

@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use qac_chimera::{embed_ising, find_embedding_or_clique, Chimera, EmbedOptions, EmbeddingCache};
+use qac_chimera::{
+    embed_ising, find_embedding_or_clique_with_stats, Chimera, EmbedOptions, EmbeddingCache,
+};
 use qac_core::{compile, CompileOptions};
 use qac_pbf::roof::apply_roof_duality;
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
@@ -211,7 +213,7 @@ pub fn run_ablation_opt() {
                 // embed; the cell/variable columns already show the story.
                 "(skipped)".to_string()
             } else {
-                find_embedding_or_clique(
+                find_embedding_or_clique_with_stats(
                     &edges,
                     scaled.model.num_vars(),
                     &chimera,
@@ -221,7 +223,7 @@ pub fn run_ablation_opt() {
                         ..Default::default()
                     },
                 )
-                .map(|e| {
+                .map(|(e, _)| {
                     let _ = embed_ising(&scaled.model, &e, &hardware, 2.0);
                     e.num_physical_qubits().to_string()
                 })

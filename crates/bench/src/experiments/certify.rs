@@ -18,7 +18,7 @@
 //! re-checking.
 
 use qac_chimera::{
-    chain_strength_bound, embed_ising, find_embedding_or_clique, Chimera, EmbedOptions,
+    chain_strength_bound, embed_ising, find_embedding_or_clique_with_stats, Chimera, EmbedOptions,
 };
 use qac_core::{backend_obligation, compile, CompileOptions};
 
@@ -97,7 +97,7 @@ pub fn certify_workload(
     let hardware = chimera.graph();
     let logical = &compiled.assembled.ising;
     let edges: Vec<(usize, usize)> = logical.j_iter().map(|t| (t.i, t.j)).collect();
-    let embedding = find_embedding_or_clique(
+    let (embedding, _) = find_embedding_or_clique_with_stats(
         &edges,
         logical.num_vars(),
         &chimera,

@@ -4,7 +4,8 @@
 use std::time::Instant;
 
 use qac_chimera::{
-    embed_ising, find_embedding_or_clique, find_embedding_portfolio, Chimera, EmbedOptions,
+    embed_ising, find_embedding_or_clique_with_stats, find_embedding_portfolio, Chimera,
+    EmbedOptions,
 };
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
 use qac_solvers::{DWaveSim, DWaveSimOptions, TimingModel};
@@ -82,7 +83,7 @@ pub fn run_sec6_1() {
             seed: 1000 + seed,
             ..Default::default()
         };
-        let embedding = find_embedding_or_clique(
+        let (embedding, _) = find_embedding_or_clique_with_stats(
             &edges,
             scaled.model.num_vars(),
             &chimera,
@@ -137,7 +138,7 @@ pub fn run_sec6_1() {
             seed: 2000 + seed,
             ..Default::default()
         };
-        let embedding = find_embedding_or_clique(
+        let (embedding, _) = find_embedding_or_clique_with_stats(
             &hand_edges,
             hand_scaled.model.num_vars(),
             &chimera,

@@ -7,7 +7,7 @@
 //! [`topology_golden_fixture`], which the `golden_gen` binary writes to
 //! disk and the `golden_router` test replays byte-for-byte.
 
-use qac_chimera::{find_embedding, EmbedOptions, KingGraph, Pegasus, Topology};
+use qac_chimera::{find_embedding_with_stats, EmbedOptions, KingGraph, Pegasus, Topology};
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
 
 use crate::{compile_workload, handcoded_australia_unary, FIGURE2};
@@ -51,7 +51,7 @@ pub fn topology_golden_fixture() -> String {
         for (token, topology) in golden_topologies() {
             let hardware = topology.graph();
             for seed in [11u64, 12] {
-                let embedding = find_embedding(
+                let (embedding, _) = find_embedding_with_stats(
                     &edges,
                     num_vars,
                     &hardware,

@@ -93,7 +93,7 @@ fn cached_embedding_validates_on_the_hardware_graph() {
     let cache = EmbeddingCache::new();
     for _ in 0..2 {
         let (embedding, _) = cache
-            .get_or_embed(&edges, num_vars, &options, &hardware, || {
+            .get_or_embed(&chimera, &edges, num_vars, &options, &hardware, || {
                 find_embedding_with_stats(&edges, num_vars, &hardware, &options)
             })
             .expect("map coloring embeds");

@@ -3,13 +3,13 @@
 //! `tests/golden/router_chains.txt` was captured from the router *before*
 //! the CSR/scratch/bounded-deepening rewrite (default [`EmbedOptions`]
 //! except the seed, on an ideal 2000Q Chimera). The rewrite is required
-//! to be byte-identical seed-for-seed on the sequential path, so every
-//! chain of every workload/seed pair must still match exactly — any
-//! change to heap tie-breaking, relaxation order, RNG consumption, or
-//! the deepening certificate shows up here as a diff.
+//! to be byte-identical seed-for-seed, so every chain of every
+//! workload/seed pair must still match exactly — any change to heap
+//! tie-breaking, relaxation order, RNG consumption, or the deepening
+//! certificate shows up here as a diff.
 
 use qac_bench::{compile_workload, AUSTRALIA, CIRCSAT, FIGURE2};
-use qac_chimera::{find_embedding, Chimera, EmbedOptions};
+use qac_chimera::{find_embedding_with_stats, Chimera, EmbedOptions};
 use qac_pbf::scale::{scale_to_range, CoefficientRange};
 
 const GOLDEN: &str = include_str!("golden/router_chains.txt");
@@ -70,7 +70,7 @@ fn router_chains_match_pre_rewrite_goldens() {
                 .find(|(g_name, g_seed, _)| g_name == name && *g_seed == seed)
                 .unwrap_or_else(|| panic!("fixture missing {name} seed {seed}"))
                 .2;
-            let embedding = find_embedding(
+            let (embedding, _) = find_embedding_with_stats(
                 &edges,
                 n,
                 &hardware,
@@ -129,43 +129,4 @@ fn topology_router_chains_match_goldens() {
         qac_bench::topology_golden_fixture() == GOLDEN_TOPOLOGY,
         "routed chains diverged from tests/golden/router_chains_topology.txt"
     );
-}
-
-/// The parallel restart race must be a pure function of `(seed, tries)`
-/// on the new fabrics too: 1 worker thread and 8 worker threads pick
-/// the same embedding qubit-for-qubit.
-#[test]
-fn restart_race_is_thread_count_invariant_on_new_fabrics() {
-    for (workload, edges, num_vars) in qac_bench::golden::golden_workloads() {
-        for (token, topology) in qac_bench::golden::golden_topologies() {
-            if token == "king48" && workload == "australia-unary" {
-                // The race runs all 16 tries; on the king lattice this
-                // workload needs seconds per try, so the cheap pair of
-                // records covers the fabric.
-                continue;
-            }
-            let hardware = topology.graph();
-            let run = |threads: usize| {
-                find_embedding(
-                    &edges,
-                    num_vars,
-                    &hardware,
-                    &EmbedOptions {
-                        seed: 11,
-                        parallel_restarts: true,
-                        restart_threads: threads,
-                        ..EmbedOptions::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{workload} race on {token}: {e}"))
-            };
-            let one = run(1);
-            let eight = run(8);
-            assert_eq!(
-                one.chains(),
-                eight.chains(),
-                "{workload} on {token}: restart race depends on thread count"
-            );
-        }
-    }
 }

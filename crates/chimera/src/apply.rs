@@ -223,7 +223,7 @@ fn unembed_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{find_embedding, Chimera, EmbedOptions};
+    use crate::{find_embedding_with_stats, Chimera, EmbedOptions};
     use qac_pbf::bits_to_spins;
 
     /// Exhaustively minimizes a (small) Ising model.
@@ -260,7 +260,9 @@ mod tests {
         logical.add_j(0, 2, -1.0);
         let hw = Chimera::new(2).graph();
         let edges = [(0, 1), (1, 2), (0, 2)];
-        let embedding = find_embedding(&edges, 3, &hw, &EmbedOptions::default()).unwrap();
+        let embedding = find_embedding_with_stats(&edges, 3, &hw, &EmbedOptions::default())
+            .unwrap()
+            .0;
         let embedded = embed_ising(&logical, &embedding, &hw, 4.0);
 
         // Enumerate over used qubits only.
@@ -278,7 +280,9 @@ mod tests {
     fn chain_break_detection() {
         let hw = Chimera::new(1).graph();
         let edges = [(0, 1), (1, 2), (0, 2)];
-        let embedding = find_embedding(&edges, 3, &hw, &EmbedOptions::default()).unwrap();
+        let embedding = find_embedding_with_stats(&edges, 3, &hw, &EmbedOptions::default())
+            .unwrap()
+            .0;
         // Find a chained variable and flip half its qubits.
         let chained = (0..3).find(|&v| embedding.chain(v).len() >= 2).unwrap();
         let mut phys = vec![Spin::Down; hw.num_nodes()];
@@ -294,7 +298,9 @@ mod tests {
         logical.add_h(0, 1.5);
         logical.add_j(0, 1, -0.5);
         let hw = Chimera::new(2).graph();
-        let embedding = find_embedding(&[(0, 1)], 2, &hw, &EmbedOptions::default()).unwrap();
+        let embedding = find_embedding_with_stats(&[(0, 1)], 2, &hw, &EmbedOptions::default())
+            .unwrap()
+            .0;
         let embedded = embed_ising(&logical, &embedding, &hw, 2.0);
         let total_h: f64 = embedded.physical.h_iter().map(|(_, h)| h).sum();
         assert!((total_h - 1.5).abs() < 1e-12);
@@ -324,7 +330,9 @@ mod tests {
         }
         let hw = Chimera::new(3).graph();
         let edges: Vec<(usize, usize)> = logical.j_iter().map(|t| (t.i, t.j)).collect();
-        let embedding = find_embedding(&edges, 5, &hw, &EmbedOptions::default()).unwrap();
+        let embedding = find_embedding_with_stats(&edges, 5, &hw, &EmbedOptions::default())
+            .unwrap()
+            .0;
         assert!(
             embedding.chains().iter().any(|c| c.len() >= 2),
             "K5 on Chimera needs at least one multi-qubit chain"
@@ -392,7 +400,9 @@ mod tests {
         logical.add_h(0, 1.0);
         logical.add_offset(2.5);
         let hw = Chimera::new(1).graph();
-        let embedding = find_embedding(&[], 1, &hw, &EmbedOptions::default()).unwrap();
+        let embedding = find_embedding_with_stats(&[], 1, &hw, &EmbedOptions::default())
+            .unwrap()
+            .0;
         let embedded = embed_ising(&logical, &embedding, &hw, 1.0);
         assert_eq!(embedded.physical.offset(), 2.5);
     }

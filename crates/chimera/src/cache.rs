@@ -5,7 +5,8 @@
 //! compiled program re-solve the identical placement problem: the logical
 //! interaction graph, the embedding options, and the hardware graph fully
 //! determine the search. [`EmbeddingCache`] memoizes on exactly that
-//! triple, so a warm run performs **zero** route iterations.
+//! triple plus the topology family ([`topology_embedding_key`]), so a
+//! warm run performs **zero** route iterations.
 //!
 //! The cache is `Sync`; share one instance across runs (or threads) via
 //! `Arc`.
@@ -16,7 +17,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::embed::{find_embedding_incremental, EmbedOptions, EmbedStats, Embedding};
+use crate::embed::{EmbedOptions, EmbedStats, Embedding};
 use crate::topology::Topology;
 use crate::{EmbedError, HardwareGraph};
 
@@ -111,15 +112,9 @@ impl std::error::Error for SnapshotError {
     }
 }
 
-/// Canonical hash of one embedding problem: logical interaction graph
-/// (edges normalized, sorted, deduplicated) + [`EmbedOptions`] + hardware
-/// graph (node count, active set, couplers).
-///
-/// The edge *weights* of the logical model are deliberately excluded —
-/// an embedding depends only on which interactions exist, so models that
-/// differ only in coefficients (e.g. different pin biases) share a cache
-/// entry.
-pub fn embedding_key(
+/// The topology-free part of [`topology_embedding_key`]: logical graph,
+/// options and hardware graph.
+fn embedding_key(
     edges: &[(usize, usize)],
     num_vars: usize,
     options: &EmbedOptions,
@@ -142,10 +137,6 @@ pub fn embedding_key(
     h.write_usize(options.tries);
     h.write_usize(options.rounds);
     h.write_u64(options.penalty_base.to_bits());
-    // The restart-race flag changes which embedding comes back (different
-    // per-try seeds, best-of-all-tries winner), so it is part of the key;
-    // `restart_threads` never affects the result, so it is not.
-    h.write_u64(u64::from(options.parallel_restarts));
 
     h.write_usize(hardware.num_nodes());
     for node in 0..hardware.num_nodes() {
@@ -161,12 +152,20 @@ pub fn embedding_key(
     h.finish()
 }
 
-/// [`embedding_key`] extended with the topology's canonical
+/// Canonical hash of one embedding problem, the key of
+/// [`EmbeddingCache`]: the logical interaction graph (edges normalized,
+/// sorted, deduplicated), the [`EmbedOptions`], the hardware graph
+/// (node count, active set, couplers) and the topology's canonical
 /// [`parameter_hash`](Topology::parameter_hash).
 ///
-/// The hardware-graph component of [`embedding_key`] already separates
-/// most topologies (different edges hash differently), but two families
-/// can in principle produce isomorphic — even identical — graphs of the
+/// The edge *weights* of the logical model are deliberately excluded —
+/// an embedding depends only on which interactions exist, so models that
+/// differ only in coefficients (e.g. different pin biases) share a cache
+/// entry.
+///
+/// The hardware-graph component alone already separates most
+/// topologies (different edges hash differently), but two families can
+/// in principle produce isomorphic — even identical — graphs of the
 /// same size. Mixing in the family/parameter hash guarantees, e.g., a C4
 /// and a king's graph with equal qubit counts can never share a cache
 /// entry.
@@ -203,8 +202,8 @@ impl CacheStats {
     }
 }
 
-/// Memoizes minor embeddings by [`embedding_key`], with hit/miss
-/// counters.
+/// Memoizes minor embeddings by [`topology_embedding_key`], with
+/// hit/miss counters.
 ///
 /// Counter updates happen while the entry map's lock is held, so a
 /// [`EmbeddingCache::stats`] snapshot (which takes the same lock) is
@@ -241,32 +240,16 @@ impl EmbeddingCache {
     /// [`EmbedStats::cache_hit`] with zero route iterations; failures are
     /// not cached (a later call with more tries may succeed).
     ///
-    /// # Errors
-    /// Whatever `embed` returns on a miss.
-    pub fn get_or_embed<F>(
-        &self,
-        edges: &[(usize, usize)],
-        num_vars: usize,
-        options: &EmbedOptions,
-        hardware: &HardwareGraph,
-        embed: F,
-    ) -> Result<(Embedding, EmbedStats), EmbedError>
-    where
-        F: FnOnce() -> Result<(Embedding, EmbedStats), EmbedError>,
-    {
-        let key = embedding_key(edges, num_vars, options, hardware);
-        self.get_or_embed_keyed(key, None, embed)
-    }
-
-    /// Topology-aware [`EmbeddingCache::get_or_embed`]: the key also
-    /// incorporates [`Topology::parameter_hash`] (see
-    /// [`topology_embedding_key`]), so equal hardware graphs from
-    /// different families never share an entry, and the cache counters
-    /// are additionally emitted with a `topology="family"` label.
+    /// The key is [`topology_embedding_key`], so equal hardware graphs
+    /// from different families never share an entry. Every lookup bumps
+    /// `qac_embed_cache_{hits,misses}_total` and
+    /// `qac_cache_{hit,miss}_total`, each also with a
+    /// `topology="family"` label, and records a flight event named after
+    /// the family.
     ///
     /// # Errors
     /// Whatever `embed` returns on a miss.
-    pub fn get_or_embed_on<T, F>(
+    pub fn get_or_embed<T, F>(
         &self,
         topology: &T,
         edges: &[(usize, usize)],
@@ -280,46 +263,8 @@ impl EmbeddingCache {
         F: FnOnce() -> Result<(Embedding, EmbedStats), EmbedError>,
     {
         let key = topology_embedding_key(topology, edges, num_vars, options, hardware);
-        self.get_or_embed_keyed(key, Some(topology.family()), embed)
-    }
-
-    /// [`EmbeddingCache::get_or_embed`] whose miss path repairs a
-    /// previous embedding instead of routing from scratch: on a miss the
-    /// cache calls [`find_embedding_incremental`], which keeps every
-    /// chain of a clean (`!dirty[v]`) variable and reroutes only the
-    /// dirtied ones, falling back to a full route when the seed cannot
-    /// be repaired (DESIGN.md §14). The result is stored under the *new*
-    /// problem's key, so later identical lookups are plain hits.
-    ///
-    /// # Errors
-    /// Whatever the seeded embed (or its full-routing fallback) returns.
-    pub fn get_or_embed_incremental(
-        &self,
-        edges: &[(usize, usize)],
-        num_vars: usize,
-        options: &EmbedOptions,
-        hardware: &HardwareGraph,
-        prev: &Embedding,
-        dirty: &[bool],
-    ) -> Result<(Embedding, EmbedStats), EmbedError> {
-        let key = embedding_key(edges, num_vars, options, hardware);
-        self.get_or_embed_keyed(key, None, || {
-            find_embedding_incremental(edges, num_vars, hardware, options, prev, dirty)
-        })
-    }
-
-    fn get_or_embed_keyed<F>(
-        &self,
-        key: u64,
-        family: Option<&'static str>,
-        embed: F,
-    ) -> Result<(Embedding, EmbedStats), EmbedError>
-    where
-        F: FnOnce() -> Result<(Embedding, EmbedStats), EmbedError>,
-    {
-        let labeled =
-            |base: &str| family.map(|f| qac_telemetry::metrics::labeled(base, &[("topology", f)]));
-        // Both the PR 6 `qac_embed_*` names and the generic
+        let family = topology.family();
+        // Both the `qac_embed_*` names and the generic
         // `qac_cache_hit/miss_total` convention the service layer will
         // scrape; the flight recorder gets the same event under the
         // current job's trace id for post-mortems.
@@ -327,11 +272,12 @@ impl EmbeddingCache {
             let telemetry = qac_telemetry::global();
             for base in names {
                 telemetry.counter_add(base, 1);
-                if let Some(name) = labeled(base) {
-                    telemetry.counter_add(&name, 1);
-                }
+                telemetry.counter_add(
+                    &qac_telemetry::metrics::labeled(base, &[("topology", family)]),
+                    1,
+                );
             }
-            qac_telemetry::global_flight().record(kind, family.unwrap_or("embed"), 1.0);
+            qac_telemetry::global_flight().record(kind, family, 1.0);
         };
         {
             let guard = self.lock();
@@ -572,17 +518,27 @@ mod tests {
     use super::*;
     use crate::{find_embedding_with_stats, Chimera, KingGraph, Pegasus, Zephyr};
 
+    /// Every lookup adds to the process-global cache counters, which
+    /// `lookups_emit_generic_counters_and_flight_events` reads as exact
+    /// before/after differences, so tests that look up take this lock.
+    static LOOKUPS: Mutex<()> = Mutex::new(());
+
+    fn serialize_lookups() -> std::sync::MutexGuard<'static, ()> {
+        LOOKUPS.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn triangle() -> Vec<(usize, usize)> {
         vec![(0, 1), (1, 2), (0, 2)]
     }
 
+    /// Embeds the triangle on a C2 (`hw` is its graph) through `cache`.
     fn embed_triangle(
         cache: &EmbeddingCache,
         hw: &HardwareGraph,
         options: &EmbedOptions,
     ) -> (Embedding, EmbedStats) {
         cache
-            .get_or_embed(&triangle(), 3, options, hw, || {
+            .get_or_embed(&Chimera::new(2), &triangle(), 3, options, hw, || {
                 find_embedding_with_stats(&triangle(), 3, hw, options)
             })
             .unwrap()
@@ -590,6 +546,7 @@ mod tests {
 
     #[test]
     fn warm_lookup_is_a_hit_with_zero_route_iterations() {
+        let _serial = serialize_lookups();
         let hw = Chimera::new(2).graph();
         let options = EmbedOptions::default();
         let cache = EmbeddingCache::new();
@@ -617,8 +574,7 @@ mod tests {
         let mut dropped = Chimera::new(2).graph();
         dropped.deactivate(0);
         let base = EmbedOptions::default();
-        let key =
-            |edges: &[(usize, usize)], n, o: &EmbedOptions, hw| embedding_key(edges, n, o, hw);
+        let key = embedding_key;
 
         let k0 = key(&triangle(), 3, &base, &hw2);
         // Edge order and duplicates do not matter.
@@ -645,31 +601,6 @@ mod tests {
                 3,
                 &EmbedOptions {
                     rounds: 7,
-                    ..base.clone()
-                },
-                &hw2
-            )
-        );
-        assert_ne!(
-            k0,
-            key(
-                &triangle(),
-                3,
-                &EmbedOptions {
-                    parallel_restarts: true,
-                    ..base.clone()
-                },
-                &hw2
-            )
-        );
-        // Thread count is a wall-time knob, never a result knob: same key.
-        assert_eq!(
-            k0,
-            key(
-                &triangle(),
-                3,
-                &EmbedOptions {
-                    restart_threads: 8,
                     ..base.clone()
                 },
                 &hw2
@@ -706,6 +637,7 @@ mod tests {
 
     #[test]
     fn failures_are_not_cached() {
+        let _serial = serialize_lookups();
         let hw = Chimera::new(1).graph();
         let cache = EmbeddingCache::new();
         let options = EmbedOptions {
@@ -718,7 +650,7 @@ mod tests {
             .flat_map(|i| ((i + 1)..9).map(move |j| (i, j)))
             .collect();
         let attempt = |cache: &EmbeddingCache| {
-            cache.get_or_embed(&edges, 9, &options, &hw, || {
+            cache.get_or_embed(&Chimera::new(1), &edges, 9, &options, &hw, || {
                 find_embedding_with_stats(&edges, 9, &hw, &options)
             })
         };
@@ -731,6 +663,7 @@ mod tests {
 
     #[test]
     fn stats_snapshot_matches_individual_accessors_at_quiescence() {
+        let _serial = serialize_lookups();
         let hw = Chimera::new(2).graph();
         let options = EmbedOptions::default();
         let cache = EmbeddingCache::new();
@@ -760,6 +693,7 @@ mod tests {
         // hit or miss, every key must end up cached, and mid-flight
         // stats() snapshots must never observe entries the miss counter
         // cannot explain.
+        let _serial = serialize_lookups();
         let hw = Chimera::new(2).graph();
         let cache = EmbeddingCache::new();
         let threads = 8usize;
@@ -778,7 +712,7 @@ mod tests {
                             ..Default::default()
                         };
                         let (embedding, _) = cache
-                            .get_or_embed(&triangle(), 3, &options, hw, || {
+                            .get_or_embed(&Chimera::new(2), &triangle(), 3, &options, hw, || {
                                 find_embedding_with_stats(&triangle(), 3, hw, &options)
                             })
                             .expect("triangle embeds");
@@ -818,6 +752,7 @@ mod tests {
         // counters must balance — a cross-family key collision would
         // surface as a missing entry (two families sharing one) or as a
         // validate() failure (a chain of foreign qubit indices).
+        let _serial = serialize_lookups();
         let topologies: Vec<(Box<dyn Topology + Sync>, HardwareGraph)> = vec![
             (Box::new(Chimera::new(2)), Chimera::new(2).graph()),
             (Box::new(Pegasus::new(2)), Pegasus::new(2).graph()),
@@ -837,7 +772,7 @@ mod tests {
                     for i in 0..iterations {
                         let (topology, hw) = &topologies[(t + i) % topologies.len()];
                         let (embedding, _) = cache
-                            .get_or_embed_on(topology.as_ref(), &triangle(), 3, options, hw, || {
+                            .get_or_embed(topology.as_ref(), &triangle(), 3, options, hw, || {
                                 find_embedding_with_stats(&triangle(), 3, hw, options)
                             })
                             .expect("triangle embeds on every family");
@@ -868,6 +803,7 @@ mod tests {
         // lookup bumps the generic qac_cache_hit/miss_total counters
         // (labeled by topology family + unlabeled aggregate) and leaves
         // a CacheHit/CacheMiss flight event under the active trace.
+        let _serial = serialize_lookups();
         use qac_telemetry::{FlightKind, TraceId, TraceScope};
         let telemetry = qac_telemetry::global();
         telemetry.enable();
@@ -892,7 +828,7 @@ mod tests {
             let _scope = TraceScope::enter(trace);
             for _ in 0..2 {
                 cache
-                    .get_or_embed_on(&king, &triangle(), 3, &options, &hw, || {
+                    .get_or_embed(&king, &triangle(), 3, &options, &hw, || {
                         find_embedding_with_stats(&triangle(), 3, &hw, &options)
                     })
                     .expect("triangle embeds on a king graph");
@@ -920,47 +856,8 @@ mod tests {
     }
 
     #[test]
-    fn incremental_lookup_hits_then_repairs_then_hits() {
-        let hw = Chimera::new(2).graph();
-        let options = EmbedOptions::default();
-        let cache = EmbeddingCache::new();
-        let old_edges = triangle();
-        let (prev, _) = embed_triangle(&cache, &hw, &options);
-
-        // Same problem again, routed incrementally: the key matches, so
-        // this is a pure hit — no repair runs.
-        let (hit, stats) = cache
-            .get_or_embed_incremental(&old_edges, 3, &options, &hw, &prev, &[false; 3])
-            .unwrap();
-        assert!(stats.cache_hit);
-        assert_eq!(hit, prev);
-
-        // An edited problem misses and repairs the seed: variable 3 is
-        // new, variable 2's adjacency changed, 0 and 1 are clean.
-        let new_edges = vec![(0, 1), (1, 2), (0, 2), (2, 3)];
-        // A comparable 4-var seed (from a real route) so the repair
-        // path, not the incomparable-seed fallback, is exercised.
-        let (seed4, _) = find_embedding_with_stats(&new_edges, 4, &hw, &options).unwrap();
-        let dirty = [false, false, true, true];
-        let (warm, warm_stats) = cache
-            .get_or_embed_incremental(&new_edges, 4, &options, &hw, &seed4, &dirty)
-            .unwrap();
-        assert!(!warm_stats.cache_hit);
-        assert!(warm.validate(&new_edges, &hw));
-        assert_eq!(warm.chain(0), seed4.chain(0), "clean chain reused");
-        assert_eq!(warm.chain(1), seed4.chain(1), "clean chain reused");
-
-        // The repaired embedding was stored under the new key.
-        let (again, again_stats) = cache
-            .get_or_embed_incremental(&new_edges, 4, &options, &hw, &seed4, &dirty)
-            .unwrap();
-        assert!(again_stats.cache_hit);
-        assert_eq!(again, warm);
-        assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
     fn snapshot_roundtrip_restores_every_entry() {
+        let _serial = serialize_lookups();
         let dir = std::env::temp_dir().join("qac-cache-snapshot-roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.qacsnap");
@@ -1005,6 +902,7 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_corruption_version_and_topology_mismatch() {
+        let _serial = serialize_lookups();
         let dir = std::env::temp_dir().join("qac-cache-snapshot-reject");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.qacsnap");
@@ -1066,6 +964,7 @@ mod tests {
 
     #[test]
     fn clear_forces_recomputation() {
+        let _serial = serialize_lookups();
         let hw = Chimera::new(2).graph();
         let options = EmbedOptions::default();
         let cache = EmbeddingCache::new();

@@ -13,7 +13,7 @@
 //! CMR's cost is dominated by repeated shortest-path searches: every
 //! rip-up round runs a multi-source Dijkstra from each neighbor chain of
 //! each variable. The router therefore works out of a [`RouterScratch`]
-//! allocated **once** per [`find_embedding`] call:
+//! allocated **once** per [`find_embedding_with_stats`] call:
 //!
 //! * the hardware adjacency is flattened to CSR (offset + flat neighbor
 //!   arrays, see [`crate::CsrNeighbors`]) for cache-friendly relaxation;
@@ -28,15 +28,8 @@
 //! Work counters (heap pops, edge relaxations, weight updates) are
 //! tallied in [`EmbedStats`] and flushed to the global telemetry recorder
 //! as `qac_embed_*_total`, so speedups and regressions are attributable.
-//!
-//! Independent restarts can additionally run as a deterministic parallel
-//! race (see [`EmbedOptions::parallel_restarts`]): per-try seeds come
-//! from a dedicated splitmix64 family and the winner is chosen by
-//! `(physical qubits, try index)`, so the result is byte-identical
-//! whether the race runs on 1 thread or 8.
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -44,7 +37,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::{CsrNeighbors, HardwareGraph};
 
-/// Options for [`find_embedding`].
+/// Options for [`find_embedding_with_stats`].
 #[derive(Debug, Clone)]
 pub struct EmbedOptions {
     /// RNG seed (the heuristic is randomized; the paper reports qubit
@@ -56,23 +49,6 @@ pub struct EmbedOptions {
     pub rounds: usize,
     /// Base of the exponential reuse penalty.
     pub penalty_base: f64,
-    /// Run the `tries` restarts as a deterministic parallel race instead
-    /// of the sequential first-success loop.
-    ///
-    /// The race gives every try its own seed (derived with
-    /// [`restart_seed`]), runs **all** tries, and keeps the embedding
-    /// with the fewest physical qubits (ties broken by lowest try
-    /// index). The result is a pure function of `(seed, tries)` — it
-    /// does not depend on [`EmbedOptions::restart_threads`] — which is
-    /// pinned by tests. `false` (the default) preserves the historical
-    /// sequential semantics exactly: one RNG threaded through the tries,
-    /// stopping at the first success.
-    pub parallel_restarts: bool,
-    /// Worker threads for the restart race; `0` means
-    /// `available_parallelism`. Ignored unless
-    /// [`EmbedOptions::parallel_restarts`] is set. Never affects the
-    /// result, only the wall time.
-    pub restart_threads: usize,
 }
 
 impl Default for EmbedOptions {
@@ -82,44 +58,13 @@ impl Default for EmbedOptions {
             tries: 16,
             rounds: 40,
             penalty_base: 8.0,
-            parallel_restarts: false,
-            restart_threads: 0,
         }
     }
 }
 
-/// The golden-ratio increment used by splitmix64 to space stream states
-/// (the same constant the engine and the sampler portfolio use).
+/// The golden-ratio increment spacing portfolio arm seeds (the same
+/// constant the engine's splitmix64 seed families use).
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Salt folded into restart-race seeds so the family is disjoint from
-/// the engine's job/attempt seeds (`splitmix64(batch + (job+1)·γ)`) and
-/// the portfolio's arm seeds (`base + arm·γ`). Distinctness across all
-/// three families is pinned by `crates/engine/tests/determinism.rs`.
-const RESTART_SEED_SALT: u64 = 0x5eed_e4be_dace_d00d;
-
-/// The splitmix64 output permutation (bijective avalanche mix).
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// The seed of restart `try_index` in a parallel restart race based on
-/// `base` ([`EmbedOptions::seed`]).
-///
-/// `mix((base ⊕ salt) + (try+1)·γ)`: γ-spacing keeps per-try states
-/// distinct, the salt keeps the family disjoint from the engine's and
-/// the portfolio's seed derivations, and the finalizer decorrelates
-/// neighbouring tries.
-#[must_use]
-pub fn restart_seed(base: u64, try_index: u64) -> u64 {
-    splitmix64(
-        (base ^ RESTART_SEED_SALT)
-            .wrapping_add(try_index.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
-    )
-}
 
 /// Work counters for one embedding call — how much routing effort the
 /// heuristic spent. A cache hit reports zero route iterations, which is
@@ -266,7 +211,8 @@ impl Embedding {
 }
 
 /// Finds a minor embedding of the logical graph given by `edges` over
-/// `num_vars` variables into `hardware`.
+/// `num_vars` variables into `hardware`, and reports how much routing
+/// work was done.
 ///
 /// Isolated logical variables (no incident edge) still receive a
 /// single-qubit chain.
@@ -274,29 +220,67 @@ impl Embedding {
 /// # Errors
 /// [`EmbedError::NoEmbeddingFound`] after the configured restarts, or
 /// [`EmbedError::EmptyHardware`].
-pub fn find_embedding(
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-) -> Result<Embedding, EmbedError> {
-    find_embedding_with_stats(edges, num_vars, hardware, options).map(|(e, _)| e)
-}
-
-/// [`find_embedding`] that also reports how much routing work was done.
-///
-/// # Errors
-/// Same as [`find_embedding`].
 pub fn find_embedding_with_stats(
     edges: &[(usize, usize)],
     num_vars: usize,
     hardware: &HardwareGraph,
     options: &EmbedOptions,
 ) -> Result<(Embedding, EmbedStats), EmbedError> {
+    let (found, stats) = route(edges, num_vars, hardware, options);
+    found.map(|embedding| (embedding, stats))
+}
+
+/// The restart loop behind every cold embed: one RNG threaded through
+/// the tries, stopping at the first success (so a seed's result is
+/// unchanged from the pre-scratch implementation — the golden-router
+/// test pins this). The work counters come back whether or not an
+/// embedding was found, so a caller that falls back to another strategy
+/// still reports the routing it paid for.
+fn route(
+    edges: &[(usize, usize)],
+    num_vars: usize,
+    hardware: &HardwareGraph,
+    options: &EmbedOptions,
+) -> (Result<Embedding, EmbedError>, EmbedStats) {
+    let mut stats = EmbedStats::default();
     if hardware.num_active() == 0 {
-        return Err(EmbedError::EmptyHardware);
+        return (Err(EmbedError::EmptyHardware), stats);
     }
-    // Logical adjacency.
+    let adj = logical_adjacency(edges, num_vars);
+    let mut rng = StdRng::seed_from_u64(options.seed);
+    let mut scratch = RouterScratch::new(hardware);
+    let mut found = None;
+    for _try in 0..options.tries {
+        stats.restarts += 1;
+        found = attempt(
+            &adj,
+            hardware,
+            options,
+            &mut rng,
+            &mut stats.route_iterations,
+            &mut scratch,
+        );
+        if found.is_some() {
+            break;
+        }
+    }
+    scratch.counters.accumulate_into(&mut stats);
+    flush_route_counters(&stats);
+    let found = match found {
+        Some(mut embedding) => {
+            trim_chains(&mut embedding, &adj, hardware);
+            debug_assert!(embedding.validate(edges, hardware));
+            Ok(embedding)
+        }
+        None => Err(EmbedError::NoEmbeddingFound {
+            tries: options.tries,
+        }),
+    };
+    (found, stats)
+}
+
+/// Deduplicated, self-loop-free adjacency lists of the logical graph.
+fn logical_adjacency(edges: &[(usize, usize)], num_vars: usize) -> Vec<Vec<usize>> {
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); num_vars];
     for &(u, v) in edges {
         assert!(u < num_vars && v < num_vars, "edge endpoint out of range");
@@ -305,24 +289,7 @@ pub fn find_embedding_with_stats(
             adj[v].push(u);
         }
     }
-
-    let mut stats = EmbedStats::default();
-    let found = if options.parallel_restarts {
-        race_restarts(&adj, hardware, options, &mut stats)
-    } else {
-        sequential_restarts(&adj, hardware, options, &mut stats)
-    };
-    flush_route_counters(&stats);
-    match found {
-        Some(mut embedding) => {
-            trim_chains(&mut embedding, &adj, hardware);
-            debug_assert!(embedding.validate(edges, hardware));
-            Ok((embedding, stats))
-        }
-        None => Err(EmbedError::NoEmbeddingFound {
-            tries: options.tries,
-        }),
-    }
+    adj
 }
 
 /// Re-embeds after an edit by seeding the router with a previous
@@ -337,7 +304,7 @@ pub fn find_embedding_with_stats(
 /// `qac_incr_reembed_full_total` when the fallback ran.
 ///
 /// # Errors
-/// Same as [`find_embedding`] (from the fallback path).
+/// Same as [`find_embedding_with_stats`] (from the fallback path).
 pub fn find_embedding_incremental(
     edges: &[(usize, usize)],
     num_vars: usize,
@@ -349,14 +316,7 @@ pub fn find_embedding_incremental(
     let seedable =
         prev.num_vars() == num_vars && dirty.len() == num_vars && hardware.num_active() > 0;
     if seedable {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); num_vars];
-        for &(u, v) in edges {
-            assert!(u < num_vars && v < num_vars, "edge endpoint out of range");
-            if u != v && !adj[u].contains(&v) {
-                adj[u].push(v);
-                adj[v].push(u);
-            }
-        }
+        let adj = logical_adjacency(edges, num_vars);
         let mut stats = EmbedStats::default();
         let mut rng = StdRng::seed_from_u64(options.seed);
         let mut scratch = RouterScratch::new(hardware);
@@ -457,136 +417,6 @@ fn attempt_seeded(
     Some(embedding)
 }
 
-/// The historical restart loop: one RNG threaded through the tries,
-/// stopping at the first success (so a seed's result is unchanged from
-/// the pre-scratch implementation — the golden-router test pins this).
-fn sequential_restarts(
-    adj: &[Vec<usize>],
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-    stats: &mut EmbedStats,
-) -> Option<Embedding> {
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let mut scratch = RouterScratch::new(hardware);
-    let mut found = None;
-    for _try in 0..options.tries {
-        stats.restarts += 1;
-        if let Some(embedding) = attempt(
-            adj,
-            hardware,
-            options,
-            &mut rng,
-            &mut stats.route_iterations,
-            &mut scratch,
-        ) {
-            found = Some(embedding);
-            break;
-        }
-    }
-    scratch.counters.accumulate_into(stats);
-    found
-}
-
-/// The deterministic parallel restart race: all `tries` run with
-/// independent [`restart_seed`]s, distributed over scoped worker threads
-/// by an atomic work queue; the winner is the successful try with the
-/// fewest physical qubits, ties broken by the lowest try index. Every
-/// part of the outcome (embedding, counters) is a pure function of
-/// `(seed, tries)` — never of the thread count or scheduling.
-/// One race worker's output: per-try `(try_index, embedding)` results in
-/// claim order, the route iterations it spent, and its work counters.
-type RaceWorkerOutput = (Vec<(usize, Option<Embedding>)>, usize, RouteCounters);
-
-fn race_restarts(
-    adj: &[Vec<usize>],
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-    stats: &mut EmbedStats,
-) -> Option<Embedding> {
-    let tries = options.tries;
-    if tries == 0 {
-        return None;
-    }
-    let threads = match options.restart_threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .clamp(1, tries);
-
-    let next_try = AtomicUsize::new(0);
-    let mut per_try: Vec<Option<Embedding>> = vec![None; tries];
-    let mut worker_outputs: Vec<RaceWorkerOutput> = Vec::with_capacity(threads);
-    // The job-scoped trace id does not cross thread spawns by itself;
-    // capture it here and re-enter it in every race worker so flight
-    // events recorded while routing attribute to the requesting job.
-    let trace = qac_telemetry::current_trace();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next_try = &next_try;
-                scope.spawn(move || {
-                    let _trace = qac_telemetry::TraceScope::enter(trace);
-                    let mut scratch = RouterScratch::new(hardware);
-                    let mut local = Vec::new();
-                    let mut route_iterations = 0usize;
-                    loop {
-                        let t = next_try.fetch_add(1, Ordering::Relaxed);
-                        if t >= tries {
-                            break;
-                        }
-                        let mut rng = StdRng::seed_from_u64(restart_seed(options.seed, t as u64));
-                        let found = attempt(
-                            adj,
-                            hardware,
-                            options,
-                            &mut rng,
-                            &mut route_iterations,
-                            &mut scratch,
-                        );
-                        local.push((t, found));
-                    }
-                    (local, route_iterations, scratch.counters)
-                })
-            })
-            .collect();
-        for handle in handles {
-            worker_outputs.push(handle.join().expect("restart race arm does not panic"));
-        }
-    });
-
-    // Counters are additive, so their totals are independent of how the
-    // work queue distributed tries over workers.
-    for (local, route_iterations, counters) in worker_outputs {
-        stats.route_iterations += route_iterations;
-        counters.accumulate_into(stats);
-        for (t, found) in local {
-            per_try[t] = found;
-        }
-    }
-    stats.restarts += tries;
-
-    let mut winner: Option<(usize, usize, Embedding)> = None;
-    for (t, embedding) in per_try.into_iter().enumerate() {
-        let Some(embedding) = embedding else {
-            continue;
-        };
-        let qubits = embedding.num_physical_qubits();
-        // Strict `<` keeps the lowest try index on quality ties (tries
-        // are visited in index order).
-        if winner.as_ref().is_none_or(|(best, ..)| qubits < *best) {
-            winner = Some((qubits, t, embedding));
-        }
-    }
-    winner.map(|(qubits, t, embedding)| {
-        qac_telemetry::global_flight().record(
-            qac_telemetry::FlightKind::RestartWin,
-            &format!("try:{t}"),
-            qubits as f64,
-        );
-        embedding
-    })
-}
-
 /// Reports the scratch work counters to the global telemetry recorder
 /// (no-ops when telemetry is disabled).
 fn flush_route_counters(stats: &EmbedStats) {
@@ -599,8 +429,8 @@ fn flush_route_counters(stats: &EmbedStats) {
 /// Runs `attempts` independently-seeded embedding searches in parallel
 /// (one thread each) and keeps the cheapest result, comparing by
 /// `(physical qubits, max chain length)`. Arm 0 uses `options.seed`
-/// verbatim, so a one-arm portfolio reproduces [`find_embedding`]
-/// exactly; the winner is chosen deterministically regardless of thread
+/// verbatim, so a one-arm portfolio reproduces
+/// [`find_embedding_with_stats`] exactly; the winner is chosen deterministically regardless of thread
 /// scheduling.
 ///
 /// The paper compiles each program 25 times precisely because the CMR
@@ -670,38 +500,21 @@ pub fn find_embedding_portfolio(
 
 /// Finds an embedding with the randomized heuristic, falling back to the
 /// deterministic clique template of `topology` when the heuristic fails
-/// (dense logical graphs). The fallback is a [`Topology`](crate::Topology)
-/// hook: families without a native template (Pegasus, Zephyr, king's
-/// graph) return `None` from
+/// (dense logical graphs), and reports the routing work done. The
+/// fallback is a [`Topology`](crate::Topology) hook: families without a
+/// native template (Pegasus, Zephyr, king's graph) return `None` from
 /// [`clique_embedding`](crate::Topology::clique_embedding), so the
 /// heuristic's error propagates instead of another family's template
 /// being silently borrowed. The fallback requires all template qubits to
-/// be active.
-///
-/// # Errors
-/// [`EmbedError`] when both strategies fail.
-pub fn find_embedding_or_clique<T: crate::Topology + ?Sized>(
-    edges: &[(usize, usize)],
-    num_vars: usize,
-    topology: &T,
-    hardware: &HardwareGraph,
-    options: &EmbedOptions,
-) -> Result<Embedding, EmbedError> {
-    find_embedding_or_clique_with_stats(edges, num_vars, topology, hardware, options)
-        .map(|(e, _)| e)
-}
-
-/// [`find_embedding_or_clique`] that also reports routing-work counters.
-/// A clique-template fallback reports the nominal work of the failed
-/// heuristic attempts (`tries × rounds`).
+/// be active, and reports the failed heuristic's real work counters.
 ///
 /// The router itself ([`find_embedding_with_stats`] and its CSR
 /// `RouterScratch`) is already topology-generic — it sees only the
-/// [`HardwareGraph`] — so this wrapper is the single place the family
+/// [`HardwareGraph`] — so this function is the single place the family
 /// matters.
 ///
 /// # Errors
-/// Same as [`find_embedding_or_clique`].
+/// [`EmbedError`] when both strategies fail.
 pub fn find_embedding_or_clique_with_stats<T: crate::Topology + ?Sized>(
     edges: &[(usize, usize)],
     num_vars: usize,
@@ -709,21 +522,13 @@ pub fn find_embedding_or_clique_with_stats<T: crate::Topology + ?Sized>(
     hardware: &HardwareGraph,
     options: &EmbedOptions,
 ) -> Result<(Embedding, EmbedStats), EmbedError> {
-    match find_embedding_with_stats(edges, num_vars, hardware, options) {
-        Ok(found) => Ok(found),
-        Err(err) => {
-            if let Some(embedding) = topology.clique_embedding(num_vars) {
-                if embedding.validate(edges, hardware) {
-                    let stats = EmbedStats {
-                        route_iterations: options.tries * options.rounds,
-                        restarts: options.tries,
-                        ..EmbedStats::default()
-                    };
-                    return Ok((embedding, stats));
-                }
-            }
-            Err(err)
-        }
+    let (found, stats) = route(edges, num_vars, hardware, options);
+    match found {
+        Ok(embedding) => Ok((embedding, stats)),
+        Err(err) => match topology.clique_embedding(num_vars) {
+            Some(template) if template.validate(edges, hardware) => Ok((template, stats)),
+            _ => Err(err),
+        },
     }
 }
 
@@ -935,8 +740,8 @@ impl DijkstraLayer {
 }
 
 /// The router's reusable working set: allocated once per
-/// [`find_embedding`] call (or once per race worker) and shared by every
-/// Dijkstra invocation across all rounds and restarts.
+/// [`find_embedding_with_stats`] call and shared by every Dijkstra
+/// invocation across all rounds and restarts.
 struct RouterScratch {
     /// CSR copy of the hardware adjacency restricted to **active**
     /// targets, in [`HardwareGraph`] neighbor order (order matters: it
@@ -1563,7 +1368,7 @@ mod tests {
     #[test]
     fn single_variable() {
         let hw = Chimera::new(1).graph();
-        let e = find_embedding(&[], 1, &hw, &opts(1)).unwrap();
+        let e = find_embedding_with_stats(&[], 1, &hw, &opts(1)).unwrap().0;
         assert_eq!(e.num_vars(), 1);
         assert_eq!(e.num_physical_qubits(), 1);
         assert!(e.validate(&[], &hw));
@@ -1573,7 +1378,9 @@ mod tests {
     fn edge_embeds_directly() {
         let hw = Chimera::new(1).graph();
         let edges = [(0, 1)];
-        let e = find_embedding(&edges, 2, &hw, &opts(2)).unwrap();
+        let e = find_embedding_with_stats(&edges, 2, &hw, &opts(2))
+            .unwrap()
+            .0;
         assert!(e.validate(&edges, &hw));
         // An edge fits on adjacent qubits without chains.
         assert_eq!(e.num_physical_qubits(), 2);
@@ -1584,7 +1391,9 @@ mod tests {
         // Chimera is bipartite: K3 requires at least one 2-qubit chain.
         let hw = Chimera::new(1).graph();
         let edges = [(0, 1), (1, 2), (0, 2)];
-        let e = find_embedding(&edges, 3, &hw, &opts(3)).unwrap();
+        let e = find_embedding_with_stats(&edges, 3, &hw, &opts(3))
+            .unwrap()
+            .0;
         assert!(e.validate(&edges, &hw));
         assert!(e.num_physical_qubits() >= 4);
         assert!(e.max_chain_length() >= 2);
@@ -1599,7 +1408,9 @@ mod tests {
                 edges.push((i, j));
             }
         }
-        let e = find_embedding(&edges, 5, &hw, &opts(4)).unwrap();
+        let e = find_embedding_with_stats(&edges, 5, &hw, &opts(4))
+            .unwrap()
+            .0;
         assert!(e.validate(&edges, &hw));
     }
 
@@ -1618,8 +1429,19 @@ mod tests {
             rounds: 12,
             ..opts(5)
         };
-        let e = find_embedding_or_clique(&edges, 8, &chimera, &hw, &fast).unwrap();
+        let (e, stats) =
+            find_embedding_or_clique_with_stats(&edges, 8, &chimera, &hw, &fast).unwrap();
         assert!(e.validate(&edges, &hw));
+        // The router fails on this budget, so the template comes back,
+        // carrying the failed router's real work rather than zeros.
+        assert_eq!(Some(e), chimera.clique_embedding(8));
+        assert_eq!(stats.restarts, 2);
+        assert!(
+            stats.heap_pops > 0,
+            "the failed routing is reported: {stats:?}"
+        );
+        assert!(stats.edge_relaxations > 0, "{stats:?}");
+        assert!(stats.weight_updates > 0, "{stats:?}");
     }
 
     #[test]
@@ -1640,7 +1462,8 @@ mod tests {
         }
         // K6 routes fine on P2 (degree 15): the hook returning None must
         // not prevent the heuristic from succeeding.
-        let e = find_embedding_or_clique(&edges, 6, &pegasus, &hw, &opts(3)).unwrap();
+        let (e, _) =
+            find_embedding_or_clique_with_stats(&edges, 6, &pegasus, &hw, &opts(3)).unwrap();
         assert!(e.validate(&edges, &hw));
 
         // An impossible problem (more variables than qubits) must
@@ -1687,7 +1510,9 @@ mod tests {
             .filter(|&(a, b)| a != b)
             .map(|(a, b)| (a.min(b), a.max(b)))
             .collect();
-        let e = find_embedding(&edges, 12, &hw, &opts(6)).unwrap();
+        let e = find_embedding_with_stats(&edges, 12, &hw, &opts(6))
+            .unwrap()
+            .0;
         assert!(e.validate(&edges, &hw));
         // Dropped qubits are never used.
         for chain in e.chains() {
@@ -1713,7 +1538,7 @@ mod tests {
             ..opts(8)
         };
         assert!(matches!(
-            find_embedding(&edges, 9, &hw, &fast),
+            find_embedding_with_stats(&edges, 9, &hw, &fast),
             Err(EmbedError::NoEmbeddingFound { .. })
         ));
     }
@@ -1732,8 +1557,9 @@ mod tests {
         let chimera = Chimera::new(3);
         let counts: Vec<usize> = (0..6)
             .map(|s| {
-                find_embedding_or_clique(&edges, 7, &chimera, &hw, &opts(100 + s))
+                find_embedding_or_clique_with_stats(&edges, 7, &chimera, &hw, &opts(100 + s))
                     .unwrap()
+                    .0
                     .num_physical_qubits()
             })
             .collect();
@@ -1762,7 +1588,9 @@ mod tests {
         let edges: Vec<(usize, usize)> = (0..6)
             .flat_map(|i| ((i + 1)..6).map(move |j| (i, j)))
             .collect();
-        let plain = find_embedding(&edges, 6, &hw, &opts(11)).unwrap();
+        let plain = find_embedding_with_stats(&edges, 6, &hw, &opts(11))
+            .unwrap()
+            .0;
         let (port, _) = find_embedding_portfolio(&edges, 6, &hw, &opts(11), 1).unwrap();
         assert_eq!(plain, port);
     }
@@ -1784,7 +1612,7 @@ mod tests {
                 seed: 42u64.wrapping_add(arm.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
                 ..opts(42)
             };
-            let e = find_embedding(&edges, 7, &hw, &o).unwrap();
+            let e = find_embedding_with_stats(&edges, 7, &hw, &o).unwrap().0;
             arm_best = arm_best.min(e.num_physical_qubits());
         }
         assert_eq!(best.num_physical_qubits(), arm_best);
@@ -1817,100 +1645,9 @@ mod tests {
         hw.deactivate(0);
         hw.deactivate(1);
         assert_eq!(
-            find_embedding(&[(0, 1)], 2, &hw, &opts(9)),
+            find_embedding_with_stats(&[(0, 1)], 2, &hw, &opts(9)),
             Err(EmbedError::EmptyHardware)
         );
-    }
-
-    #[test]
-    fn restart_seeds_are_pairwise_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        for base in [0u64, 0xe4bed, u64::MAX / 3] {
-            for t in 0..1024u64 {
-                assert!(
-                    seen.insert(restart_seed(base, t)),
-                    "restart seed collision at base {base:#x} try {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn race_is_identical_across_thread_counts() {
-        // The ISSUE-4 determinism contract: the parallel restart race is
-        // a pure function of (seed, tries) — 1 worker thread and 8 must
-        // produce byte-identical embeddings and work counters.
-        let hw = Chimera::new(3).graph();
-        let edges: Vec<(usize, usize)> = (0..7)
-            .flat_map(|i| ((i + 1)..7).map(move |j| (i, j)))
-            .collect();
-        let run = |threads: usize| {
-            let o = EmbedOptions {
-                parallel_restarts: true,
-                restart_threads: threads,
-                tries: 6,
-                rounds: 16,
-                ..opts(77)
-            };
-            find_embedding_with_stats(&edges, 7, &hw, &o).unwrap()
-        };
-        let (e1, s1) = run(1);
-        let (e8, s8) = run(8);
-        assert_eq!(e1, e8, "embedding differs between 1 and 8 race threads");
-        assert_eq!(s1, s8, "work counters differ between 1 and 8 race threads");
-        assert!(e1.validate(&edges, &hw));
-        assert_eq!(s1.restarts, 6, "the race runs every try");
-    }
-
-    #[test]
-    fn race_picks_the_best_try() {
-        // Re-running each try's seed sequentially must reproduce the
-        // race winner's qubit count: the winner is min over tries by
-        // (physical qubits, try index).
-        let hw = Chimera::new(3).graph();
-        let edges: Vec<(usize, usize)> = (0..6)
-            .flat_map(|i| ((i + 1)..6).map(move |j| (i, j)))
-            .collect();
-        let tries = 4usize;
-        let race_options = EmbedOptions {
-            parallel_restarts: true,
-            restart_threads: 2,
-            tries,
-            rounds: 16,
-            ..opts(5)
-        };
-        let (won, _) = find_embedding_with_stats(&edges, 6, &hw, &race_options).unwrap();
-        let mut best = usize::MAX;
-        for t in 0..tries as u64 {
-            let o = EmbedOptions {
-                seed: restart_seed(5, t),
-                tries: 1,
-                rounds: 16,
-                ..opts(5)
-            };
-            if let Ok(e) = find_embedding(&edges, 6, &hw, &o) {
-                best = best.min(e.num_physical_qubits());
-            }
-        }
-        assert_eq!(won.num_physical_qubits(), best);
-    }
-
-    #[test]
-    fn race_propagates_failure() {
-        let hw = Chimera::new(1).graph();
-        let edges: Vec<(usize, usize)> = (0..9)
-            .flat_map(|i| ((i + 1)..9).map(move |j| (i, j)))
-            .collect();
-        let o = EmbedOptions {
-            parallel_restarts: true,
-            tries: 2,
-            rounds: 8,
-            ..opts(8)
-        };
-        assert!(matches!(
-            find_embedding(&edges, 9, &hw, &o),
-            Err(EmbedError::NoEmbeddingFound { .. })
-        ));
     }
 
     #[test]
@@ -1924,7 +1661,9 @@ mod tests {
         old_edges.push((0, 4));
         let mut new_edges = ring;
         new_edges.push((1, 5));
-        let prev = find_embedding(&old_edges, 8, &hw, &opts(21)).unwrap();
+        let prev = find_embedding_with_stats(&old_edges, 8, &hw, &opts(21))
+            .unwrap()
+            .0;
 
         let mut dirty = vec![false; 8];
         for v in [0, 1, 4, 5] {
@@ -1949,7 +1688,9 @@ mod tests {
     fn seeded_reembed_with_no_dirty_variables_is_a_noop() {
         let hw = Chimera::new(2).graph();
         let edges = [(0, 1), (1, 2), (0, 2), (2, 3)];
-        let prev = find_embedding(&edges, 4, &hw, &opts(13)).unwrap();
+        let prev = find_embedding_with_stats(&edges, 4, &hw, &opts(13))
+            .unwrap()
+            .0;
         let (warm, stats) =
             find_embedding_incremental(&edges, 4, &hw, &opts(13), &prev, &[false; 4]).unwrap();
         assert_eq!(warm, prev, "nothing dirty: the seed is returned as-is");
@@ -1964,7 +1705,9 @@ mod tests {
         // options (deterministic, so the results are comparable).
         let hw = Chimera::new(2).graph();
         let edges = [(0, 1), (1, 2), (0, 2)];
-        let stale = find_embedding(&[(0, 1)], 2, &hw, &opts(17)).unwrap();
+        let stale = find_embedding_with_stats(&[(0, 1)], 2, &hw, &opts(17))
+            .unwrap()
+            .0;
         let (warm, _) =
             find_embedding_incremental(&edges, 3, &hw, &opts(17), &stale, &[true; 2]).unwrap();
         let (cold, _) = find_embedding_with_stats(&edges, 3, &hw, &opts(17)).unwrap();

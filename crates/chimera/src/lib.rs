@@ -9,10 +9,15 @@
 //! * [`Topology`] — the pluggable hardware-family trait [`Chimera`]
 //!   implements, alongside [`Pegasus`], [`Zephyr`], and [`KingGraph`]
 //!   (with [`TopologySpec`] as the value-level choice options carry);
-//! * [`find_embedding`] — a randomized minor-embedding heuristic in the
-//!   style of Cai–Macready–Roy (the SAPI algorithm the paper uses, §4.4),
-//!   mapping each logical variable to a connected *chain* of physical
-//!   qubits;
+//! * [`find_embedding_with_stats`] — a randomized minor-embedding
+//!   heuristic in the style of Cai–Macready–Roy (the SAPI algorithm the
+//!   paper uses, §4.4), mapping each logical variable to a connected
+//!   *chain* of physical qubits, with the clique-template fallback
+//!   ([`find_embedding_or_clique_with_stats`]), a seeded repair after an
+//!   edit ([`find_embedding_incremental`]) and a best-of-N-seeds
+//!   portfolio ([`find_embedding_portfolio`]) on top;
+//! * [`EmbeddingCache`] — memoizes embeddings by
+//!   [`topology_embedding_key`], with versioned disk snapshots;
 //! * [`embed_ising`] / [`unembed`] — applying an embedding to a logical
 //!   Ising model (distributing `h` over chains, placing `J` on physical
 //!   couplers, adding ferromagnetic intra-chain couplings) and decoding
@@ -21,13 +26,15 @@
 //! # Example
 //!
 //! ```
-//! use qac_chimera::{Chimera, find_embedding, EmbedOptions};
+//! use qac_chimera::{find_embedding_with_stats, Chimera, EmbedOptions};
 //!
 //! // Embed a triangle (which needs a chain: Chimera has no odd cycles).
 //! let hw = Chimera::new(2).graph();
 //! let edges = [(0, 1), (1, 2), (0, 2)];
-//! let embedding = find_embedding(&edges, 3, &hw, &EmbedOptions::default()).unwrap();
+//! let (embedding, stats) =
+//!     find_embedding_with_stats(&edges, 3, &hw, &EmbedOptions::default()).unwrap();
 //! assert!(embedding.num_physical_qubits() >= 4); // ≥ one chain of 2
+//! assert!(stats.heap_pops > 0); // the router's deterministic work counter
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,12 +52,11 @@ pub use apply::{
     choose_chain_strength, embed_ising, neighborhood_weights, unembed, ChainBreakStats,
     EmbeddedIsing,
 };
-pub use cache::{embedding_key, topology_embedding_key, CacheStats, EmbeddingCache, SnapshotError};
+pub use cache::{topology_embedding_key, CacheStats, EmbeddingCache, SnapshotError};
 pub use chimera::Chimera;
 pub use embed::{
-    find_embedding, find_embedding_incremental, find_embedding_or_clique,
-    find_embedding_or_clique_with_stats, find_embedding_portfolio, find_embedding_with_stats,
-    restart_seed, EmbedError, EmbedOptions, EmbedStats, Embedding,
+    find_embedding_incremental, find_embedding_or_clique_with_stats, find_embedding_portfolio,
+    find_embedding_with_stats, EmbedError, EmbedOptions, EmbedStats, Embedding,
 };
 pub use graph::{CsrNeighbors, HardwareGraph};
 pub use witness::{chain_strength_bound, contraction_witness, ChainWitness};

@@ -29,7 +29,7 @@ pub struct JobSpec {
     /// Human-readable label for tables and telemetry spans.
     pub label: String,
     /// Job-scoped trace id. Every flight-recorder event the job causes —
-    /// across portfolio arms, restart-race threads, cache lookups —
+    /// across sampler threads and cache lookups —
     /// carries this id, so a failed or timed-out job can dump its own
     /// event history (see [`JobResult::post_mortem_jsonl`]).
     pub trace: TraceId,

@@ -238,7 +238,7 @@ fn engine_and_portfolio_seed_families_never_collide() {
     // The seed-family audit, cross-subsystem half: for the default
     // engine seed, no engine attempt seed may equal another stream's
     // seed — otherwise a retried job would walk the same RNG stream as
-    // an embedding restart or a sampler lane and correlate with it.
+    // a sampler lane and correlate with it.
     use std::collections::HashSet;
     let engine = EngineOptions::default();
     let mut seeds = HashSet::new();
@@ -250,21 +250,9 @@ fn engine_and_portfolio_seed_families_never_collide() {
             );
         }
     }
-    // The embedding router's restart-race family is salted before its
-    // splitmix mix (see `qac_chimera::restart_seed`), so its streams
-    // must land outside the engine attempt family — a collision would
-    // correlate a routing race with a sampler's RNG when a job embeds
-    // and then anneals.
-    for try_index in 0..256u64 {
-        assert!(
-            seeds.insert(qac_chimera::restart_seed(engine.base_seed, try_index)),
-            "embedding restart {try_index} collides with another stream"
-        );
-    }
     // The packed-lane sampler families (per-replica lane seeds and the
     // PA resampling stream) are salted independently; they must stay
-    // disjoint from the engine and restart families above AND from each
-    // other.
+    // disjoint from the engine family above AND from each other.
     for replica in 0..256u64 {
         assert!(
             seeds.insert(qac_solvers::lane_seed(engine.base_seed, replica)),

@@ -214,7 +214,7 @@ impl DWaveSim {
         };
         let (embedding, embed_stats) = match &o.embedding_cache {
             Some(cache) => {
-                cache.get_or_embed_on(&topology, &edges, num_vars, &o.embed, &hardware, search)?
+                cache.get_or_embed(&topology, &edges, num_vars, &o.embed, &hardware, search)?
             }
             None => search()?,
         };

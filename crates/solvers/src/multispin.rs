@@ -16,8 +16,8 @@
 //!   `β·δ ≤ T[u8]` with `T[k] = −ln((k+0.5)/256)`, so the hot loop does
 //!   no `exp()` and draws one cheap xorshift64 word per lane;
 //! * every lane owns a splitmix64-derived seed from a salted family
-//!   ([`lane_seed`]) that is disjoint from the engine job/attempt and
-//!   embedding-restart families (DESIGN.md §13).
+//!   ([`lane_seed`]) that is disjoint from the engine job/attempt
+//!   families (DESIGN.md §13).
 //!
 //! Two samplers share the kernel: [`BitParallelSa`] (independent
 //! annealing restarts, the sampler behind `SolverChoice::Sa`) and
@@ -63,9 +63,8 @@ fn splitmix64(state: u64) -> u64 {
 /// The family is salted with [`LANE_SEED_SALT`] *before* the first
 /// splitmix finalize and spaced by the golden gamma before the second,
 /// so its streams are pairwise distinct and structurally disjoint from
-/// the engine job/attempt families (`mix(base + k·γ)`) and the
-/// embedding restart family (its own salt) — pinned by the engine's
-/// seed-family audit test.
+/// the engine job/attempt families (`mix(base + k·γ)`) — pinned by the
+/// engine's seed-family audit test.
 pub fn lane_seed(base: u64, replica: u64) -> u64 {
     splitmix64(
         splitmix64(base ^ LANE_SEED_SALT)

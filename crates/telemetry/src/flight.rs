@@ -11,10 +11,10 @@
 //!
 //! Every event carries a **trace id** — a job-scoped correlation key set
 //! with [`TraceScope`] and propagated explicitly across thread spawns
-//! (engine workers, sampler threads, restart races). When a job fails,
-//! retries, or times out, [`FlightRecorder::dump_jsonl`] extracts that
-//! job's events from the ring as JSONL for post-mortem analysis, without
-//! re-running anything.
+//! (engine workers, sampler threads). When a job fails, retries, or
+//! times out, [`FlightRecorder::dump_jsonl`] extracts that job's events
+//! from the ring as JSONL for post-mortem analysis, without re-running
+//! anything.
 //!
 //! # Example
 //!
@@ -75,9 +75,9 @@ impl std::fmt::Display for TraceId {
     }
 }
 
-/// What happened. The set covers the events the ISSUE's post-mortems
-/// need: pipeline stage boundaries, embedding-cache traffic, restart-race
-/// outcomes, sampler progress, and engine lifecycle.
+/// What happened. The set covers the events post-mortems need: pipeline
+/// stage boundaries, embedding-cache traffic, sampler progress, and
+/// engine lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
     /// A pipeline stage started (`name` = stage name).
@@ -87,13 +87,10 @@ pub enum FlightKind {
     /// The incremental compiler skipped a stage and replayed its cached
     /// artifact (`name` = stage name, `value` = artifact size).
     StageSkip,
-    /// The embedding cache answered a lookup (`name` = topology family
-    /// or `"embed"`).
+    /// The embedding cache answered a lookup (`name` = topology family).
     CacheHit,
     /// The embedding cache had to route (`name` as for `CacheHit`).
     CacheMiss,
-    /// The restart race picked a winner (`value` = winning try index).
-    RestartWin,
     /// A sampler passed a progress milestone (`value` = reads done).
     SamplerMilestone,
     /// A job was enqueued into the batch engine.
@@ -121,7 +118,6 @@ impl FlightKind {
             FlightKind::StageSkip => "stage_skip",
             FlightKind::CacheHit => "cache_hit",
             FlightKind::CacheMiss => "cache_miss",
-            FlightKind::RestartWin => "restart_win",
             FlightKind::SamplerMilestone => "sampler_milestone",
             FlightKind::Enqueue => "enqueue",
             FlightKind::Dequeue => "dequeue",
