@@ -1,8 +1,15 @@
-//! Sampler throughput on a fixed frustrated model.
+//! Sampler throughput on a fixed frustrated model, and the hardware
+//! model on the compiled Figure 2 circuit.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qac_bench::{compile_workload, FIGURE2};
+use qac_chimera::EmbeddingCache;
 use qac_pbf::Ising;
-use qac_solvers::{BitParallelSa, PopulationAnnealing, Sampler, TabuSearch};
+use qac_solvers::{
+    BitParallelSa, DWaveSim, DWaveSimOptions, PopulationAnnealing, Sampler, TabuSearch,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,6 +40,18 @@ fn bench_samplers(c: &mut Criterion) {
     c.bench_function("tabu_96vars_10reads", |b| {
         let sampler = TabuSearch::new(1);
         b.iter(|| std::hint::black_box(sampler.sample(&model, 10)))
+    });
+    // The default C16 hardware model. The embedding cache is warmed
+    // once, outside the timed loop, so this times distortion, the
+    // chain-block anneal and the decode, not routing.
+    let figure2 = compile_workload(FIGURE2, "circuit").assembled.ising;
+    let sim = DWaveSim::new(DWaveSimOptions {
+        embedding_cache: Some(Arc::new(EmbeddingCache::new())),
+        ..Default::default()
+    });
+    sim.run(&figure2, 1).expect("figure2 embeds on a C16");
+    c.bench_function("dwave_sim_figure2_c16_100_reads", |b| {
+        b.iter(|| std::hint::black_box(sim.run(&figure2, 100)))
     });
 }
 

@@ -10,8 +10,8 @@
 //! 2. minor-embed onto the hardware graph with qubit drop-out (§4.4);
 //! 3. quantize coefficients to a few bits and add analog Gaussian noise
 //!    (the machine "is analog rather than digital … limited precision");
-//! 4. draw stochastic samples (simulated annealing stands in for the
-//!    physical anneal);
+//! 4. draw stochastic samples over the embedded qubits (simulated
+//!    annealing stands in for the physical anneal);
 //! 5. decode through majority vote, counting chain breaks;
 //! 6. account wall-clock time with a programming/anneal/readout model so
 //!    §6.2-style per-solution costs can be reported.
@@ -23,13 +23,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qac_chimera::{
-    embed_ising, find_embedding_or_clique_with_stats, EmbedError, EmbedOptions, EmbedStats,
-    Embedding, EmbeddingCache, Topology, TopologySpec,
+    embed_ising, find_embedding_or_clique_with_stats, unembed, EmbedError, EmbedOptions,
+    EmbedStats, Embedding, EmbeddingCache, Topology, TopologySpec,
 };
 use qac_pbf::scale::{quantize, scale_to_range};
-use qac_pbf::Ising;
-
-use qac_pbf::Spin;
+use qac_pbf::{CsrAdjacency, Ising, Spin};
 use qac_telemetry::StageTrace;
 
 use crate::{Sample, SampleSet, Sampler};
@@ -241,15 +239,18 @@ impl DWaveSim {
 
         let chain_strength = topology.chain_strength(o.chain_strength, scaled.model.max_abs_j());
         let embedded = embed_ising(&scaled.model, &embedding, &hardware, chain_strength);
+        // Everything from here on runs over the qubits the chains use:
+        // the rest of the fabric carries no field and no coupler.
+        let compact = CompactModel::new(&embedded.physical, &embedding);
 
         // Rescale after chains were added (chains may exceed J range).
-        let physical = scale_to_range(&embedded.physical, range).model;
+        let physical = scale_to_range(&compact.model, range).model;
 
         // 3. Analog distortion: quantization plus Gaussian noise.
         let mut distorted = if o.precision_bits > 0 {
             quantize(&physical, range, o.precision_bits)
         } else {
-            physical.clone()
+            physical
         };
         if o.noise_sigma > 0.0 {
             let mut rng = StdRng::seed_from_u64(o.seed ^ 0x6e_015e);
@@ -278,16 +279,20 @@ impl DWaveSim {
         // chain-block flips with single-qubit flips: blocks provide the
         // logical dynamics, single-qubit moves let chains break the way
         // analog hardware does.
+        let sweeps = o.anneal_sweeps.max(1);
+        let qubits = compact.model.num_vars();
         let mut anneal_span = telemetry.span("sample:anneal");
         anneal_span.arg("reads", num_reads as f64);
-        anneal_span.arg("sweeps", o.anneal_sweeps.max(1) as f64);
-        let physical_set = anneal_embedded(
-            &distorted,
-            &embedding,
-            o.anneal_sweeps.max(1),
-            o.seed ^ 0xa1_ea1,
-            num_reads,
+        anneal_span.arg("sweeps", sweeps as f64);
+        anneal_span.arg("qubits", qubits as f64);
+        let anneal = anneal_embedded(&distorted, &compact, sweeps, o.seed ^ 0xa1_ea1, num_reads);
+        // Deterministic per seed, like the routing counters: a budget on
+        // spin updates trips if the anneal ever visits idle fabric again.
+        telemetry.counter_add(
+            "qac_sampler_spin_updates_total{sampler=\"dwave\"}",
+            (num_reads * sweeps * qubits) as u64,
         );
+        telemetry.counter_add("qac_sampler_flips_total{sampler=\"dwave\"}", anneal.flips);
         drop(anneal_span);
         phase_done(&mut phases, "sample:anneal", 0);
 
@@ -297,45 +302,41 @@ impl DWaveSim {
             "qac_read_chain_break_fraction",
             qac_telemetry::FRACTION_BUCKETS,
         );
-        let mut decoded: Vec<Sample> = Vec::new();
+        let mut decoded: Vec<Sample> = Vec::with_capacity(anneal.reads.len());
         let mut breaks = 0.0;
-        let mut reads = 0usize;
-        for sample in physical_set.iter() {
-            let (logical_spins, stats) = embedded.unembed(&sample.spins);
-            breaks += stats.break_fraction() * sample.occurrences as f64;
-            reads += sample.occurrences;
+        for spins in &anneal.reads {
+            let (logical_spins, stats) = unembed(&compact.chains, logical.num_vars(), spins);
+            breaks += stats.break_fraction();
             let energy = logical.energy(&logical_spins);
-            telemetry.observe_n("qac_read_energy", energy, sample.occurrences as u64);
-            // The quantile sketch answers "what was the p99 read energy"
-            // without pre-chosen buckets; one observation per distinct
-            // sample keeps it cheap (occurrences collapse to one point —
-            // the histogram above remains the occurrence-weighted view).
-            telemetry.sketch_observe("qac_read_energy_quantiles", energy);
-            telemetry.observe_n(
-                "qac_read_chain_break_fraction",
-                stats.break_fraction(),
-                sample.occurrences as u64,
-            );
+            telemetry.observe("qac_read_energy", energy);
+            telemetry.observe("qac_read_chain_break_fraction", stats.break_fraction());
             decoded.push(Sample {
                 spins: logical_spins,
                 energy,
-                occurrences: sample.occurrences,
+                occurrences: 1,
             });
         }
         let logical_set = SampleSet::from_samples(decoded);
-        let physical_terms = embedded.physical.num_terms(1e-12);
+        // The quantile sketch answers "what was the p99 read energy"
+        // without pre-chosen buckets; it gets one point per distinct
+        // decoded logical sample (occurrences collapse to one point), so
+        // it stays cheap. The histograms above are the per-read view.
+        for sample in logical_set.iter() {
+            telemetry.sketch_observe("qac_read_energy_quantiles", sample.energy);
+        }
+        let physical_terms = compact.model.num_terms(1e-12);
         drop(unembed_span);
         phase_done(&mut phases, "sample:unembed", 0);
 
         Ok(DWaveSimResult {
             logical: logical_set,
-            mean_chain_breaks: if reads > 0 {
-                breaks / reads as f64
+            mean_chain_breaks: if num_reads > 0 {
+                breaks / num_reads as f64
             } else {
                 0.0
             },
             embedding,
-            physical_qubits: embedded.embedding.num_physical_qubits(),
+            physical_qubits: qubits,
             physical_terms,
             scale: scaled.scale,
             estimated_time_us: o.timing.total_us(num_reads),
@@ -358,30 +359,98 @@ impl Sampler for DWaveSim {
     }
 }
 
-/// Annealing over an embedded model with chain-block moves.
+/// The physical model restricted to the qubits the embedding's chains
+/// use.
+///
+/// Qubits are numbered in ascending physical order, so coupler
+/// (`BTreeMap`) order and every neighbour row keep the order of the
+/// full-fabric model and each coefficient is copied unchanged: rescaling,
+/// quantization, noise and local fields add up exactly as they would over
+/// the whole fabric.
+struct CompactModel {
+    /// The physical Hamiltonian over the used qubits.
+    model: Ising,
+    /// The embedding's chains in compact qubit numbers.
+    chains: Embedding,
+    /// Fabric qubits outside every chain.
+    unused: usize,
+}
+
+impl CompactModel {
+    fn new(physical: &Ising, embedding: &Embedding) -> CompactModel {
+        let mut qubits: Vec<usize> = embedding.chains().iter().flatten().copied().collect();
+        qubits.sort_unstable();
+        let mut index = vec![u32::MAX; physical.num_vars()];
+        for (c, &q) in qubits.iter().enumerate() {
+            debug_assert_eq!(index[q], u32::MAX, "chains must be disjoint");
+            index[q] = c as u32;
+        }
+        let mut model = Ising::new(qubits.len());
+        for (c, &q) in qubits.iter().enumerate() {
+            model.set_h(c, physical.h(q));
+        }
+        // Only chain qubits carry couplers, and the relabelling is
+        // monotone, so `i < j` still holds.
+        for t in physical.j_iter() {
+            model.add_j(index[t.i] as usize, index[t.j] as usize, t.value);
+        }
+        model.add_offset(physical.offset());
+        let chains = embedding
+            .chains()
+            .iter()
+            .map(|chain| chain.iter().map(|&q| index[q] as usize).collect())
+            .collect();
+        CompactModel {
+            model,
+            chains: Embedding::from_chains(chains),
+            unused: physical.num_vars() - qubits.len(),
+        }
+    }
+}
+
+/// The physical reads of one anneal, in decode order.
+struct Anneal {
+    /// One spin vector per read over the compact qubits, sorted by
+    /// physical energy with ties in read order.
+    reads: Vec<Vec<Spin>>,
+    /// Accepted block and single-qubit flips, annealing and descent.
+    flips: u64,
+}
+
+/// Annealing over the embedded qubits with chain-block moves.
 ///
 /// Each sweep proposes one collective flip per chain (Metropolis on the
 /// physical energy) followed by one single-qubit pass at the same
-/// temperature; a greedy single-qubit descent finishes each read. The
-/// block moves emulate the collective dynamics a physical annealer gets
-/// from quantum tunneling; the single-qubit moves are where chain breaks
-/// come from.
+/// temperature; a greedy descent (blocks, then single qubits) finishes
+/// each read. The block moves emulate the collective dynamics a physical
+/// annealer gets from quantum tunneling; the single-qubit moves are where
+/// chain breaks come from.
+///
+/// Only the qubits some chain uses are annealed; the rest of the fabric
+/// has no field and no coupler, so it never changes a move or an
+/// energy. Each read still draws one random start bit per unused fabric
+/// qubit and discards it, so every read's random stream, and so its
+/// samples, are those of an anneal over the whole fabric. Reads are
+/// never merged, and they are decoded in order of physical energy, then
+/// read index: the order the whole fabric gives, where the unused
+/// qubits' random bits make every read distinct.
 fn anneal_embedded(
     model: &Ising,
-    embedding: &Embedding,
+    compact: &CompactModel,
     sweeps: usize,
     seed: u64,
     num_reads: usize,
-) -> SampleSet {
+) -> Anneal {
     let adj = model.csr_adjacency();
     let n = model.num_vars();
-    // Chain membership per physical qubit (usize::MAX = unused).
-    let mut member = vec![usize::MAX; n];
-    for (v, chain) in embedding.chains().iter().enumerate() {
-        for &q in chain {
-            member[q] = v;
-        }
-    }
+    let chains = compact.chains.chains();
+    let boundary = chain_boundary(model, chains);
+    // ΔE of flipping a whole chain: intra-chain terms cancel.
+    let block_delta = |chain: &[usize], spins: &[f64]| {
+        chain.iter().fold(0.0, |delta, &q| {
+            delta + flip_delta(model.h(q), spins[q], boundary.neighbors(q), spins)
+        })
+    };
     // β schedule bounds from the physical scale.
     let mut max_local = 0.0f64;
     for i in 0..n {
@@ -394,53 +463,42 @@ fn anneal_embedded(
     }
     let beta_min = 0.7 / max_local;
     let beta_max = 50.0 / max_local.clamp(1e-9, 8.0);
+    let ratio = (beta_max / beta_min).powf(1.0 / sweeps.max(1) as f64);
 
+    let mut flips = 0u64;
     let mut reads = Vec::with_capacity(num_reads);
+    // Spins as ±1.0, so a local field is a plain multiply-add.
+    let mut spins = vec![0.0f64; n];
     for r in 0..num_reads {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
         // Chain-coherent random start.
-        let mut spins: Vec<Spin> = vec![Spin::Down; n];
-        for chain in embedding.chains() {
-            let s = Spin::from(rng.gen::<bool>());
+        for chain in chains {
+            let s = if rng.gen::<bool>() { 1.0 } else { -1.0 };
             for &q in chain {
                 spins[q] = s;
             }
         }
-        for q in 0..n {
-            if member[q] == usize::MAX {
-                spins[q] = Spin::from(rng.gen::<bool>());
-            }
+        for _ in 0..compact.unused {
+            rng.gen::<bool>();
         }
-        let ratio = (beta_max / beta_min).powf(1.0 / sweeps.max(1) as f64);
         let mut beta = beta_min;
         for _ in 0..sweeps {
             // Block pass: flip whole chains.
-            for chain in embedding.chains() {
-                // ΔE of flipping the block: intra-chain terms cancel.
-                let mut delta = 0.0;
-                for &q in chain {
-                    let mut field = model.h(q);
-                    for &(other, j) in adj.neighbors(q) {
-                        if member[other as usize] != member[q] {
-                            field += j * spins[other as usize].value();
-                        }
-                    }
-                    delta += -2.0 * spins[q].value() * field;
-                }
+            for chain in chains {
+                let delta = block_delta(chain, &spins);
                 if delta <= 0.0 || rng.gen::<f64>() < (-beta * delta).exp() {
                     for &q in chain {
-                        spins[q] = spins[q].flipped();
+                        spins[q] = -spins[q];
                     }
+                    flips += 1;
                 }
             }
             // Single-qubit pass (chain breaks happen here).
             for q in 0..n {
-                if member[q] == usize::MAX && adj.neighbors(q).is_empty() && model.h(q) == 0.0 {
-                    continue;
-                }
-                let delta = model.flip_delta_csr(&spins, q, adj.neighbors(q));
+                let delta = flip_delta(model.h(q), spins[q], adj.neighbors(q), &spins);
                 if delta <= 0.0 || rng.gen::<f64>() < (-beta * delta).exp() {
-                    spins[q] = spins[q].flipped();
+                    spins[q] = -spins[q];
+                    flips += 1;
                 }
             }
             beta *= ratio;
@@ -449,34 +507,61 @@ fn anneal_embedded(
         let mut improved = true;
         while improved {
             improved = false;
-            for chain in embedding.chains() {
-                let mut delta = 0.0;
-                for &q in chain {
-                    let mut field = model.h(q);
-                    for &(other, j) in adj.neighbors(q) {
-                        if member[other as usize] != member[q] {
-                            field += j * spins[other as usize].value();
-                        }
-                    }
-                    delta += -2.0 * spins[q].value() * field;
-                }
-                if delta < -1e-12 {
+            for chain in chains {
+                if block_delta(chain, &spins) < -1e-12 {
                     for &q in chain {
-                        spins[q] = spins[q].flipped();
+                        spins[q] = -spins[q];
                     }
+                    flips += 1;
                     improved = true;
                 }
             }
             for q in 0..n {
-                if model.flip_delta_csr(&spins, q, adj.neighbors(q)) < -1e-12 {
-                    spins[q] = spins[q].flipped();
+                if flip_delta(model.h(q), spins[q], adj.neighbors(q), &spins) < -1e-12 {
+                    spins[q] = -spins[q];
+                    flips += 1;
                     improved = true;
                 }
             }
         }
-        reads.push(spins);
+        let read: Vec<Spin> = spins.iter().map(|&s| Spin::from(s > 0.0)).collect();
+        reads.push((model.energy(&read), read));
     }
-    SampleSet::from_reads(model, reads)
+    // Stable: equal energies keep read order.
+    reads.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    Anneal {
+        reads: reads.into_iter().map(|(_, read)| read).collect(),
+        flips,
+    }
+}
+
+/// `ΔE` of flipping one spin with linear term `h` and value `s` (±1.0),
+/// summing `neighbors` in the order given.
+#[inline]
+fn flip_delta(h: f64, s: f64, neighbors: &[(u32, f64)], spins: &[f64]) -> f64 {
+    let mut field = h;
+    for &(other, j) in neighbors {
+        field += j * spins[other as usize];
+    }
+    -2.0 * s * field
+}
+
+/// The couplers of `model` that join two different chains, as an
+/// adjacency whose rows keep the order of `model`'s own rows.
+fn chain_boundary(model: &Ising, chains: &[Vec<usize>]) -> CsrAdjacency {
+    let mut chain_of = vec![0; model.num_vars()];
+    for (c, chain) in chains.iter().enumerate() {
+        for &q in chain {
+            chain_of[q] = c;
+        }
+    }
+    let mut boundary = Ising::new(model.num_vars());
+    for t in model.j_iter() {
+        if chain_of[t.i] != chain_of[t.j] {
+            boundary.add_j(t.i, t.j, t.value);
+        }
+    }
+    boundary.csr_adjacency()
 }
 
 /// Standard normal via Box–Muller (rand_distr is not among the allowed

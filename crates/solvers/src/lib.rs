@@ -19,7 +19,10 @@
 //!   coefficient scaling and quantization, analog noise, stochastic
 //!   sampling with chain-block moves, majority-vote unembedding,
 //!   chain-break accounting, and a timing model for §6.2-style
-//!   per-solution costs.
+//!   per-solution costs. Everything after embedding runs over the
+//!   qubits the embedding uses, not the whole fabric; noise,
+//!   quantization and chain-break decoding are those of the full
+//!   fabric, and so is every sample.
 //!
 //! Each heuristic sampler earns its place on some workload (DESIGN.md
 //! §13 keeps the time-to-solution table). All samplers implement
