@@ -174,28 +174,12 @@ pub fn embed_ising(
     }
 }
 
-impl EmbeddedIsing {
-    /// Decodes a physical sample to logical spins by majority vote over
-    /// each chain (ties resolve down).
-    pub fn unembed(&self, physical_spins: &[Spin]) -> (Vec<Spin>, ChainBreakStats) {
-        unembed_with(&self.embedding, self.num_logical, physical_spins)
-    }
-}
-
 /// Majority-vote decoding of a physical sample through `embedding`,
-/// producing `num_logical` logical spins.
+/// producing `num_logical` logical spins (ties resolve down).
 ///
 /// # Panics
 /// Panics if a chain references a qubit outside `physical_spins`.
 pub fn unembed(
-    embedding: &Embedding,
-    num_logical: usize,
-    physical_spins: &[Spin],
-) -> (Vec<Spin>, ChainBreakStats) {
-    unembed_with(embedding, num_logical, physical_spins)
-}
-
-fn unembed_with(
     embedding: &Embedding,
     num_logical: usize,
     physical_spins: &[Spin],
@@ -270,7 +254,7 @@ mod tests {
         let (_, minima) = ground_states(&embedded.physical, &used);
         assert!(!minima.is_empty());
         for phys in &minima {
-            let (logical_spins, stats) = embedded.unembed(phys);
+            let (logical_spins, stats) = unembed(&embedding, embedded.num_logical, phys);
             assert_eq!(stats.broken, 0, "ground states should have intact chains");
             assert_eq!(logical_spins, vec![Spin::Up; 3]);
         }
