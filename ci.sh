@@ -44,8 +44,8 @@ cargo test --release -q --manifest-path perfbench/Cargo.toml
 echo "==> differential suite (bp/pa/tabu vs exact enumeration)"
 cargo test --release -q -p qac-solvers --test differential
 
-echo "==> sampler suites (packed and hardware-model goldens + lane equivalence + partial-word masking)"
-cargo test --release -q -p qac-solvers --test golden_samples --test golden_dwave --test multispin_lanes
+echo "==> sampler suites (packed and hardware-model goldens + shared embedding cache + lane equivalence + partial-word masking)"
+cargo test --release -q -p qac-solvers --test golden_samples --test golden_dwave --test shared_cache --test multispin_lanes
 
 echo "==> batch engine suite (determinism at 1/2/8 workers)"
 cargo test --release -q -p qac-engine

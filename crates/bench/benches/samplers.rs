@@ -46,7 +46,7 @@ fn bench_samplers(c: &mut Criterion) {
     // chain-block anneal and the decode, not routing.
     let figure2 = compile_workload(FIGURE2, "circuit").assembled.ising;
     let sim = DWaveSim::new(DWaveSimOptions {
-        embedding_cache: Some(Arc::new(EmbeddingCache::new())),
+        embedding_cache: Arc::new(EmbeddingCache::new()),
         ..Default::default()
     });
     sim.run(&figure2, 1).expect("figure2 embeds on a C16");

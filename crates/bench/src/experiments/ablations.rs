@@ -41,7 +41,7 @@ pub fn run_ablation_chain() {
             topology: qac_solvers::TopologySpec::Chimera { m: 16 },
             chain_strength: Some(strength),
             anneal_sweeps: 256,
-            embedding_cache: Some(Arc::clone(&cache)),
+            embedding_cache: Arc::clone(&cache),
             ..Default::default()
         });
         let reads = 400;
@@ -115,7 +115,7 @@ pub fn run_ablation_gap() {
             topology: qac_solvers::TopologySpec::Chimera { m: 8 },
             noise_sigma: 0.02,
             anneal_sweeps: 96,
-            embedding_cache: Some(Arc::clone(&cache)),
+            embedding_cache: Arc::clone(&cache),
             ..Default::default()
         });
         let reads = 400;

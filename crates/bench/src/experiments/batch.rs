@@ -41,7 +41,7 @@ pub fn sec6_batch_jobs() -> Vec<JobSpec> {
         SolverChoice::DWave(Box::new(DWaveSimOptions {
             topology: qac_solvers::TopologySpec::Chimera { m: 4 },
             anneal_sweeps: 192,
-            embedding_cache: Some(Arc::clone(&cache)),
+            embedding_cache: Arc::clone(&cache),
             ..Default::default()
         }))
     };

@@ -26,7 +26,7 @@ fn warm_cache_run_does_zero_route_iterations() {
     let cache = Arc::new(EmbeddingCache::new());
     let sim = DWaveSimOptions {
         anneal_sweeps: 16,
-        embedding_cache: Some(Arc::clone(&cache)),
+        embedding_cache: Arc::clone(&cache),
         ..Default::default()
     };
     let run = RunOptions::new()
@@ -61,7 +61,7 @@ fn cache_hit_preserves_solution_validity() {
     let cache = Arc::new(EmbeddingCache::new());
     let sim = DWaveSimOptions {
         anneal_sweeps: 32,
-        embedding_cache: Some(Arc::clone(&cache)),
+        embedding_cache: Arc::clone(&cache),
         ..Default::default()
     };
     let run = RunOptions::new()

@@ -30,7 +30,7 @@ fn map_coloring_run_exports_all_three_formats() {
     let cache = Arc::new(EmbeddingCache::new());
     let sim = DWaveSimOptions {
         anneal_sweeps: 24,
-        embedding_cache: Some(Arc::clone(&cache)),
+        embedding_cache: Arc::clone(&cache),
         ..Default::default()
     };
     let run = RunOptions::new()

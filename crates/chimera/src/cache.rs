@@ -1,4 +1,4 @@
-//! A process-wide embedding cache.
+//! A bounded, process-wide embedding cache.
 //!
 //! Minor embedding dominates compile-to-run latency (the CMR heuristic
 //! reroutes chains for dozens of rounds), yet repeated runs of the same
@@ -9,13 +9,16 @@
 //! warm run performs **zero** route iterations.
 //!
 //! The cache is `Sync`; share one instance across runs (or threads) via
-//! `Arc`.
+//! `Arc`. [`EmbeddingCache::shared`] is the one instance a process gets by
+//! default. Every cache holds at most [`EmbeddingCache::CAPACITY`]
+//! embeddings and evicts the least recently used one, so a stream of
+//! never-repeating programs cannot grow it without bound.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::embed::{EmbedOptions, EmbedStats, Embedding};
 use crate::topology::Topology;
@@ -113,7 +116,8 @@ impl std::error::Error for SnapshotError {
 }
 
 /// The topology-free part of [`topology_embedding_key`]: logical graph,
-/// options and hardware graph.
+/// options and the hardware graph's
+/// [`fingerprint`](HardwareGraph::fingerprint).
 fn embedding_key(
     edges: &[(usize, usize)],
     num_vars: usize,
@@ -137,25 +141,15 @@ fn embedding_key(
     h.write_usize(options.tries);
     h.write_usize(options.rounds);
     h.write_u64(options.penalty_base.to_bits());
-
-    h.write_usize(hardware.num_nodes());
-    for node in 0..hardware.num_nodes() {
-        if !hardware.is_active(node) {
-            h.write_usize(node);
-        }
-    }
-    h.write_usize(hardware.num_edges());
-    for (a, b) in hardware.edges() {
-        h.write_usize(a);
-        h.write_usize(b);
-    }
+    h.write_u64(hardware.fingerprint());
     h.finish()
 }
 
 /// Canonical hash of one embedding problem, the key of
 /// [`EmbeddingCache`]: the logical interaction graph (edges normalized,
-/// sorted, deduplicated), the [`EmbedOptions`], the hardware graph
-/// (node count, active set, couplers) and the topology's canonical
+/// sorted, deduplicated), the [`EmbedOptions`], the hardware graph's
+/// [`fingerprint`](HardwareGraph::fingerprint) (node count, active set,
+/// couplers; computed once per graph) and the topology's canonical
 /// [`parameter_hash`](Topology::parameter_hash).
 ///
 /// The edge *weights* of the logical model are deliberately excluded —
@@ -190,8 +184,11 @@ pub struct CacheStats {
     pub hits: usize,
     /// Lookups that had to embed.
     pub misses: usize,
-    /// Embeddings currently stored.
+    /// Embeddings currently stored (at most
+    /// [`EmbeddingCache::CAPACITY`]).
     pub entries: usize,
+    /// Entries dropped to make room for a new one.
+    pub evictions: usize,
 }
 
 impl CacheStats {
@@ -202,8 +199,62 @@ impl CacheStats {
     }
 }
 
+/// One cached embedding and the tick of its last lookup.
+struct Entry {
+    embedding: Embedding,
+    last_use: u64,
+}
+
+/// The entry map of an [`EmbeddingCache`], kept within
+/// [`EmbeddingCache::CAPACITY`] by least-recently-used eviction.
+#[derive(Default)]
+struct Entries {
+    map: HashMap<u64, Entry>,
+    /// Bumped by every hit and insert; orders entries by last use.
+    clock: u64,
+}
+
+impl Entries {
+    fn get(&mut self, key: u64) -> Option<Embedding> {
+        let entry = self.map.get_mut(&key)?;
+        self.clock += 1;
+        entry.last_use = self.clock;
+        Some(entry.embedding.clone())
+    }
+
+    /// Stores `embedding` under `key` (a racing insert that got there
+    /// first is kept) and returns whether the least recently used entry
+    /// was evicted to make room. A linear scan finds it: the map never
+    /// holds more than [`EmbeddingCache::CAPACITY`] entries.
+    fn insert(&mut self, key: u64, embedding: Embedding) -> bool {
+        self.clock += 1;
+        if let Some(entry) = self.map.get_mut(&key) {
+            entry.last_use = self.clock;
+            return false;
+        }
+        let full = self.map.len() >= EmbeddingCache::CAPACITY;
+        if full {
+            let oldest = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_use)
+                .map(|(&k, _)| k);
+            self.map.remove(&oldest.expect("a full map has entries"));
+        }
+        self.map.insert(
+            key,
+            Entry {
+                embedding,
+                last_use: self.clock,
+            },
+        );
+        full
+    }
+}
+
 /// Memoizes minor embeddings by [`topology_embedding_key`], with
-/// hit/miss counters.
+/// hit/miss/eviction counters, holding at most
+/// [`EmbeddingCache::CAPACITY`] entries.
 ///
 /// Counter updates happen while the entry map's lock is held, so a
 /// [`EmbeddingCache::stats`] snapshot (which takes the same lock) is
@@ -214,25 +265,44 @@ impl CacheStats {
 /// below).
 #[derive(Default)]
 pub struct EmbeddingCache {
-    entries: Mutex<HashMap<u64, Embedding>>,
+    entries: Mutex<Entries>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    evictions: AtomicUsize,
 }
 
 impl fmt::Debug for EmbeddingCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let stats = self.stats();
         f.debug_struct("EmbeddingCache")
-            .field("entries", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
+            .field("entries", &stats.entries)
+            .field("hits", &stats.hits)
+            .field("misses", &stats.misses)
+            .field("evictions", &stats.evictions)
             .finish()
     }
 }
 
 impl EmbeddingCache {
+    /// The most embeddings one cache holds. A lookup that misses on a
+    /// full cache evicts the least recently used entry. 32 keeps every
+    /// program of a workload warm (perfbench's paper-pins runs 2) while
+    /// a stream of never-repeating programs, which would otherwise add
+    /// an entry per job to the process-wide cache, holds at most 32.
+    pub const CAPACITY: usize = 32;
+
     /// An empty cache.
     pub fn new() -> EmbeddingCache {
         EmbeddingCache::default()
+    }
+
+    /// The process-wide cache: every call returns the same instance. It
+    /// is what a default-configured hardware-model run embeds through;
+    /// a caller that wants runs isolated from the rest of the process
+    /// passes its own `Arc::new(EmbeddingCache::new())` instead.
+    pub fn shared() -> Arc<EmbeddingCache> {
+        static SHARED: OnceLock<Arc<EmbeddingCache>> = OnceLock::new();
+        Arc::clone(SHARED.get_or_init(|| Arc::new(EmbeddingCache::new())))
     }
 
     /// Returns the cached embedding for this problem, or computes one with
@@ -245,7 +315,8 @@ impl EmbeddingCache {
     /// `qac_embed_cache_{hits,misses}_total` and
     /// `qac_cache_{hit,miss}_total`, each also with a
     /// `topology="family"` label, and records a flight event named after
-    /// the family.
+    /// the family. A miss that evicts an entry also bumps
+    /// `qac_embed_cache_evictions_total` and its labeled variant.
     ///
     /// # Errors
     /// Whatever `embed` returns on a miss.
@@ -268,20 +339,21 @@ impl EmbeddingCache {
         // `qac_cache_hit/miss_total` convention the service layer will
         // scrape; the flight recorder gets the same event under the
         // current job's trace id for post-mortems.
-        let bump = |names: [&str; 2], kind: qac_telemetry::FlightKind| {
+        let count = |name: &str| {
             let telemetry = qac_telemetry::global();
-            for base in names {
-                telemetry.counter_add(base, 1);
-                telemetry.counter_add(
-                    &qac_telemetry::metrics::labeled(base, &[("topology", family)]),
-                    1,
-                );
-            }
+            telemetry.counter_add(name, 1);
+            telemetry.counter_add(
+                &qac_telemetry::metrics::labeled(name, &[("topology", family)]),
+                1,
+            );
+        };
+        let bump = |names: [&str; 2], kind: qac_telemetry::FlightKind| {
+            names.into_iter().for_each(count);
             qac_telemetry::global_flight().record(kind, family, 1.0);
         };
         {
-            let guard = self.lock();
-            if let Some(found) = guard.get(&key).cloned() {
+            let mut guard = self.lock();
+            if let Some(found) = guard.get(key) {
                 // Count the hit before releasing the map lock, so no
                 // stats() snapshot can observe the lookup half-recorded.
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -301,25 +373,32 @@ impl EmbeddingCache {
         // concurrent misses on the same key both embed and one insert
         // wins, which costs duplicated work but never blocks other keys.
         let (embedding, stats) = embed()?;
-        {
+        let evicted = {
             // Miss counter and insert move together under the lock:
             // `entries <= misses` holds at every instant (a lost update
             // here would let a stats() reader see an entry with no miss
             // accounting for it).
             let mut guard = self.lock();
             self.misses.fetch_add(1, Ordering::Relaxed);
-            guard.entry(key).or_insert_with(|| embedding.clone());
-        }
+            let evicted = guard.insert(key, embedding.clone());
+            if evicted {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            evicted
+        };
         bump(
             ["qac_embed_cache_misses_total", "qac_cache_miss_total"],
             qac_telemetry::FlightKind::CacheMiss,
         );
+        if evicted {
+            count("qac_embed_cache_evictions_total");
+        }
         Ok((embedding, stats))
     }
 
     /// Number of cached embeddings.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().map.len()
     }
 
     /// Whether the cache is empty.
@@ -337,7 +416,7 @@ impl EmbeddingCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// A coherent snapshot of hits, misses, and entry count, taken under
+    /// A coherent snapshot of hits, misses, entry count and evictions, taken under
     /// the entry map's lock (unlike three separate calls to
     /// [`EmbeddingCache::hits`] / [`EmbeddingCache::misses`] /
     /// [`EmbeddingCache::len`], which can interleave with writers).
@@ -346,13 +425,14 @@ impl EmbeddingCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: guard.len(),
+            entries: guard.map.len(),
+            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        self.lock().clear();
+        self.lock().map.clear();
     }
 
     /// Writes every cached entry to `path` in the versioned snapshot
@@ -375,8 +455,11 @@ impl EmbeddingCache {
         ));
         let entries: Vec<(u64, Embedding)> = {
             let guard = self.lock();
-            let mut entries: Vec<(u64, Embedding)> =
-                guard.iter().map(|(&k, e)| (k, e.clone())).collect();
+            let mut entries: Vec<(u64, Embedding)> = guard
+                .map
+                .iter()
+                .map(|(&k, e)| (k, e.embedding.clone()))
+                .collect();
             entries.sort_unstable_by_key(|&(k, _)| k);
             entries
         };
@@ -399,7 +482,9 @@ impl EmbeddingCache {
 
     /// Reads a snapshot written by [`EmbeddingCache::save`] into a fresh
     /// cache (counters start at zero; the loaded entries count as
-    /// pre-warmed, not as misses).
+    /// pre-warmed, not as misses). Entries are inserted in file order
+    /// under the usual bound, so of a snapshot with more than
+    /// [`EmbeddingCache::CAPACITY`] entries the last `CAPACITY` are kept.
     ///
     /// The snapshot is rejected — never partially loaded — when the
     /// magic or version line does not match, when the stamped topology
@@ -468,7 +553,7 @@ impl EmbeddingCache {
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| corrupt("missing or malformed entries line"))?;
 
-        let mut map = HashMap::with_capacity(count);
+        let mut entries = Entries::default();
         for _ in 0..count {
             let entry = lines
                 .next()
@@ -494,19 +579,18 @@ impl EmbeddingCache {
                     .map_err(|_| corrupt("unparseable qubit index"))?;
                 chains.push(chain);
             }
-            map.insert(key, Embedding::from_chains(chains));
+            entries.insert(key, Embedding::from_chains(chains));
         }
         if lines.next().is_some() {
             return Err(corrupt("trailing data after the last entry"));
         }
         Ok(EmbeddingCache {
-            entries: Mutex::new(map),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
+            entries: Mutex::new(entries),
+            ..EmbeddingCache::default()
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Embedding>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Entries> {
         // A poisoned mutex means another thread panicked mid-insert; the
         // map itself is always in a consistent state.
         self.entries.lock().unwrap_or_else(|p| p.into_inner())
@@ -675,7 +759,8 @@ mod tests {
             CacheStats {
                 hits: 1,
                 misses: 1,
-                entries: 1
+                entries: 1,
+                evictions: 0
             }
         );
         assert_eq!(stats.lookups(), 2);
@@ -853,6 +938,41 @@ mod tests {
         for event in qac_telemetry::global_flight().events_for(trace) {
             assert_eq!(event.name, "king");
         }
+    }
+
+    #[test]
+    fn a_miss_on_a_full_cache_evicts_and_counts_it() {
+        let _serial = serialize_lookups();
+        let telemetry = qac_telemetry::global();
+        telemetry.enable();
+        let labeled = qac_telemetry::metrics::labeled(
+            "qac_embed_cache_evictions_total",
+            &[("topology", "chimera")],
+        );
+        let counters = || {
+            let m = telemetry.metrics();
+            (
+                m.counter("qac_embed_cache_evictions_total"),
+                m.counter(&labeled),
+            )
+        };
+        let before = counters();
+        let hw = Chimera::new(2).graph();
+        let cache = EmbeddingCache::new();
+        for seed in 0..=EmbeddingCache::CAPACITY as u64 {
+            let options = EmbedOptions {
+                seed,
+                ..Default::default()
+            };
+            embed_triangle(&cache, &hw, &options);
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.entries, EmbeddingCache::CAPACITY);
+        assert_eq!(stats.misses, EmbeddingCache::CAPACITY + 1);
+        assert_eq!(stats.evictions, 1);
+        let after = counters();
+        assert_eq!(after.0, before.0 + 1, "one unlabeled eviction");
+        assert_eq!(after.1, before.1 + 1, "one chimera-labeled eviction");
     }
 
     #[test]

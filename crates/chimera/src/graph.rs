@@ -1,14 +1,28 @@
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+use crate::cache::Fnv;
 
 /// An undirected hardware connectivity graph with optional inactive
 /// ("dropped-out") nodes — real annealers always lose a few qubits to
 /// calibration (§2: "there is inevitably some drop-out").
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct HardwareGraph {
     adj: Vec<Vec<usize>>,
     edges: BTreeSet<(usize, usize)>,
     active: Vec<bool>,
+    /// [`HardwareGraph::fingerprint`], computed on first use and reset by
+    /// every mutation.
+    fingerprint: OnceLock<u64>,
 }
+
+impl PartialEq for HardwareGraph {
+    fn eq(&self, other: &HardwareGraph) -> bool {
+        self.adj == other.adj && self.edges == other.edges && self.active == other.active
+    }
+}
+
+impl Eq for HardwareGraph {}
 
 impl HardwareGraph {
     /// Creates a graph with `num_nodes` nodes and no edges.
@@ -17,7 +31,29 @@ impl HardwareGraph {
             adj: vec![Vec::new(); num_nodes],
             edges: BTreeSet::new(),
             active: vec![true; num_nodes],
+            fingerprint: OnceLock::new(),
         }
+    }
+
+    /// Canonical FNV-1a hash of the graph: node count, inactive nodes and
+    /// couplers. Equal graphs hash equally across runs and platforms; it
+    /// is the hardware part of every embedding-cache key. Hashing walks
+    /// every coupler, so the value is kept with the graph and computed at
+    /// most once between mutations.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = Fnv::new();
+            h.write_usize(self.num_nodes());
+            for node in (0..self.num_nodes()).filter(|&n| !self.active[n]) {
+                h.write_usize(node);
+            }
+            h.write_usize(self.num_edges());
+            for (a, b) in self.edges() {
+                h.write_usize(a);
+                h.write_usize(b);
+            }
+            h.finish()
+        })
     }
 
     /// Number of nodes (including inactive ones).
@@ -39,6 +75,7 @@ impl HardwareGraph {
         assert!(a < self.adj.len() && b < self.adj.len(), "node in range");
         let key = (a.min(b), a.max(b));
         if self.edges.insert(key) {
+            self.fingerprint.take();
             self.adj[a].push(b);
             self.adj[b].push(a);
         }
@@ -66,6 +103,7 @@ impl HardwareGraph {
 
     /// Marks a node inactive (unusable by embeddings).
     pub fn deactivate(&mut self, node: usize) {
+        self.fingerprint.take();
         self.active[node] = false;
     }
 
@@ -196,6 +234,26 @@ mod tests {
             let flat: Vec<usize> = csr.neighbors(node).iter().map(|&t| t as usize).collect();
             assert_eq!(flat, g.neighbors(node), "node {node} order must match");
         }
+    }
+
+    #[test]
+    fn fingerprint_follows_mutations_not_history() {
+        let mut g = HardwareGraph::new(3);
+        g.add_edge(0, 1);
+        let before = g.fingerprint();
+        g.add_edge(1, 2);
+        let with_edge = g.fingerprint();
+        assert_ne!(before, with_edge, "a new coupler changes the fingerprint");
+        g.deactivate(2);
+        assert_ne!(with_edge, g.fingerprint(), "drop-out changes it");
+        // The same graph, drop-out applied first and never hashed before.
+        let mut h = HardwareGraph::new(3);
+        h.deactivate(2);
+        h.add_edge(1, 0);
+        h.add_edge(2, 1);
+        assert_eq!(g, h);
+        assert_eq!(g.fingerprint(), h.fingerprint());
+        assert_eq!(g.clone().fingerprint(), g.fingerprint());
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   edit ([`find_embedding_incremental`]) and a best-of-N-seeds
 //!   portfolio ([`find_embedding_portfolio`]) on top;
 //! * [`EmbeddingCache`] — memoizes embeddings by
-//!   [`topology_embedding_key`], with versioned disk snapshots;
+//!   [`topology_embedding_key`] in a bounded least-recently-used map
+//!   ([`EmbeddingCache::shared`] is the process-wide one), with versioned
+//!   disk snapshots;
 //! * [`embed_ising`] / [`unembed`] — applying an embedding to a logical
 //!   Ising model (distributing `h` over chains, placing `J` on physical
 //!   couplers, adding ferromagnetic intra-chain couplings) and decoding

@@ -25,6 +25,8 @@
 //!   ([`Topology::coefficient_range`]) and the default chain-strength
 //!   rule derived from it ([`Topology::chain_strength`]).
 
+use std::sync::{Arc, Mutex};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -617,6 +619,23 @@ impl TopologySpec {
             TopologySpec::King { m } => f(&KingGraph::new(m)),
         }
     }
+
+    /// The full hardware graph of this fabric, built once per process
+    /// and shared: equal specs get the same `Arc`, with its
+    /// [`fingerprint`](HardwareGraph::fingerprint) already computed. A
+    /// process targets a handful of fabrics, so the memo is not bounded.
+    pub fn shared_graph(&self) -> Arc<HardwareGraph> {
+        static FABRICS: Mutex<Vec<(TopologySpec, Arc<HardwareGraph>)>> = Mutex::new(Vec::new());
+        let mut fabrics = FABRICS.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some((_, graph)) = fabrics.iter().find(|(spec, _)| spec == self) {
+            return Arc::clone(graph);
+        }
+        let graph = self.graph();
+        graph.fingerprint();
+        let graph = Arc::new(graph);
+        fabrics.push((*self, Arc::clone(&graph)));
+        graph
+    }
 }
 
 impl Topology for TopologySpec {
@@ -824,5 +843,20 @@ mod tests {
             TopologySpec::King { m: 9 }.coefficient_range(),
             CoefficientRange::UNIT
         );
+    }
+
+    #[test]
+    fn shared_graph_is_built_once_per_spec() {
+        let spec = TopologySpec::Pegasus { m: 3 };
+        let first = spec.shared_graph();
+        assert!(
+            Arc::ptr_eq(&first, &spec.shared_graph()),
+            "one graph per spec"
+        );
+        assert_eq!(*first, spec.graph());
+        assert_eq!(first.fingerprint(), spec.graph().fingerprint());
+        let other = TopologySpec::Zephyr { m: 3 }.shared_graph();
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert_ne!(first.fingerprint(), other.fingerprint());
     }
 }

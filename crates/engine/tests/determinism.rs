@@ -36,7 +36,7 @@ fn mixed_batch(program: &Arc<Compiled>) -> Vec<JobSpec> {
                 _ => SolverChoice::DWave(Box::new(DWaveSimOptions {
                     topology: qac_solvers::TopologySpec::Chimera { m: 4 },
                     anneal_sweeps: 120,
-                    embedding_cache: Some(Arc::clone(&cache)),
+                    embedding_cache: Arc::clone(&cache),
                     ..Default::default()
                 })),
             };

@@ -41,7 +41,7 @@ fn forced_timeout_dumps_a_post_mortem_with_the_jobs_trace() {
             qac_solvers::DWaveSimOptions {
                 topology: qac_solvers::TopologySpec::Chimera { m: 4 },
                 anneal_sweeps: 8,
-                embedding_cache: Some(cache),
+                embedding_cache: cache,
                 ..Default::default()
             },
         )))

@@ -5,6 +5,9 @@
 //! process-wide telemetry recorder: no other test in this process may
 //! add to the counters it checks.
 
+use std::sync::Arc;
+
+use qac_chimera::EmbeddingCache;
 use qac_pbf::Ising;
 use qac_solvers::{DWaveSim, DWaveSimOptions, Topology, TopologySpec};
 
@@ -19,9 +22,12 @@ fn one_run_counts_its_routing_work_once() {
     for i in 0..5 {
         model.add_j(i, (i + 1) % 5, 1.0);
     }
+    // A private cache, so the run routes cold whatever else this process
+    // embedded through the shared one.
     let sim = DWaveSim::new(DWaveSimOptions {
         topology: TopologySpec::Chimera { m: 3 },
         anneal_sweeps: 16,
+        embedding_cache: Arc::new(EmbeddingCache::new()),
         ..Default::default()
     });
     let reads = 20;
