@@ -10,15 +10,16 @@
 //!
 //! The cache is `Sync`; share one instance across runs (or threads) via
 //! `Arc`. [`EmbeddingCache::shared`] is the one instance a process gets by
-//! default. Every cache holds at most [`EmbeddingCache::CAPACITY`]
-//! embeddings and evicts the least recently used one, so a stream of
-//! never-repeating programs cannot grow it without bound.
+//! default, for as long as something holds it. Every cache holds at most
+//! [`EmbeddingCache::CAPACITY`] embeddings and evicts the least recently
+//! used one, so a stream of never-repeating programs cannot grow it
+//! without bound.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use crate::embed::{EmbedOptions, EmbedStats, Embedding};
 use crate::topology::Topology;
@@ -296,13 +297,26 @@ impl EmbeddingCache {
         EmbeddingCache::default()
     }
 
-    /// The process-wide cache: every call returns the same instance. It
-    /// is what a default-configured hardware-model run embeds through;
-    /// a caller that wants runs isolated from the rest of the process
-    /// passes its own `Arc::new(EmbeddingCache::new())` instead.
+    /// The process-wide cache: while anything holds it, every call
+    /// returns the same instance. It is what a default-configured
+    /// hardware-model run embeds through; a caller that wants runs
+    /// isolated from the rest of the process passes its own
+    /// `Arc::new(EmbeddingCache::new())` instead.
+    ///
+    /// The process keeps only a weak reference, so the cache and its
+    /// embeddings are freed with its last holder (a default
+    /// `DWaveSimOptions`, or a compiled program) and the next call starts
+    /// an empty one. Work that starts over from nothing, such as running
+    /// a seed again after dropping every program, routes again, and so
+    /// repeats exactly.
     pub fn shared() -> Arc<EmbeddingCache> {
-        static SHARED: OnceLock<Arc<EmbeddingCache>> = OnceLock::new();
-        Arc::clone(SHARED.get_or_init(|| Arc::new(EmbeddingCache::new())))
+        static SHARED: Mutex<Weak<EmbeddingCache>> = Mutex::new(Weak::new());
+        let mut shared = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
+        shared.upgrade().unwrap_or_else(|| {
+            let cache = Arc::new(EmbeddingCache::new());
+            *shared = Arc::downgrade(&cache);
+            cache
+        })
     }
 
     /// Returns the cached embedding for this problem, or computes one with
@@ -1093,5 +1107,22 @@ mod tests {
         let (_, stats) = embed_triangle(&cache, &hw, &options);
         assert!(!stats.cache_hit);
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn the_shared_cache_lives_as_long_as_a_holder() {
+        // No other test in this binary calls `shared`.
+        let held = EmbeddingCache::shared();
+        assert!(Arc::ptr_eq(&held, &EmbeddingCache::shared()));
+        let gone = Arc::downgrade(&held);
+        drop(held);
+        assert!(gone.upgrade().is_none(), "freed with its last holder");
+        let next = EmbeddingCache::shared();
+        let stats = next.stats();
+        assert_eq!(
+            (stats.entries, stats.lookups()),
+            (0, 0),
+            "the next one starts empty"
+        );
     }
 }

@@ -18,8 +18,8 @@
 //!   portfolio ([`find_embedding_portfolio`]) on top;
 //! * [`EmbeddingCache`] — memoizes embeddings by
 //!   [`topology_embedding_key`] in a bounded least-recently-used map
-//!   ([`EmbeddingCache::shared`] is the process-wide one), with versioned
-//!   disk snapshots;
+//!   ([`EmbeddingCache::shared`] is the process-wide one, freed with its
+//!   last holder), with versioned disk snapshots;
 //! * [`embed_ising`] / [`unembed`] — applying an embedding to a logical
 //!   Ising model (distributing `h` over chains, placing `J` on physical
 //!   couplers, adding ferromagnetic intra-chain couplings) and decoding

@@ -14,9 +14,11 @@
 //! [`Compiled`], and each stage replays, splices or re-runs depending on
 //! whether the previous result's content key for it matches.
 
+use std::sync::Arc;
+
 use qac_analysis::{analyze_assembled, AnalysisOptions, AnalysisReport, Diagnostics};
 use qac_cert::CompileCertificate;
-use qac_chimera::EmbedOptions;
+use qac_chimera::{EmbedOptions, EmbeddingCache};
 use qac_edif::{from_edif, to_edif};
 use qac_gatesynth::CellLibrary;
 use qac_netlist::unroll::{unroll, InitialState};
@@ -131,6 +133,11 @@ pub struct Compiled {
     pub options: CompileOptions,
     /// Content keys and reuse units for [`crate::compile_incremental`].
     pub incr: IncrState,
+    /// Keeps the process-wide [`EmbeddingCache::shared`] alive while this
+    /// program lives, so default-option hardware-model runs of it route
+    /// once. Runs look embeddings up through
+    /// `DWaveSimOptions::embedding_cache`, never through this handle.
+    _shared_embeddings: Arc<EmbeddingCache>,
 }
 
 impl Compiled {
@@ -681,6 +688,7 @@ pub(crate) fn drive(
         trace,
         options: options.clone(),
         incr,
+        _shared_embeddings: EmbeddingCache::shared(),
     };
     Ok((compiled, report))
 }

@@ -95,10 +95,11 @@ pub struct DWaveSimOptions {
     /// (problem, options, hardware) combination reuses the stored
     /// embedding and does zero routing work. The default is the bounded
     /// process-wide [`EmbeddingCache::shared`], so every default
-    /// simulator in a process routes each program once; pass
-    /// `Arc::new(EmbeddingCache::new())` to isolate runs from the rest of
-    /// the process. A hit returns the embedding a cold route would find,
-    /// so the choice never changes a sample.
+    /// simulator in a process routes each program once while the shared
+    /// cache is held (a compiled program holds it for as long as it
+    /// lives); pass `Arc::new(EmbeddingCache::new())` to isolate runs
+    /// from the rest of the process. A hit returns the embedding a cold
+    /// route would find, so the choice never changes a sample.
     pub embedding_cache: Arc<EmbeddingCache>,
     /// The timing model used for cost accounting.
     pub timing: TimingModel,
